@@ -5,7 +5,7 @@ code still prints what it printed when ``cli_golden.json`` was written.  Each
 record is one invocation: its exit code and the SHA-256 of its stdout and
 stderr, with the temporary directory replaced by ``<tmp>`` and the fixtures
 directory by ``<fixtures>``.  The corpus is every C10 invocation, with and
-without ``--json``, plus the error paths below.
+without ``--json``, plus the error paths and zero-ideal edge cases below.
 
 Regenerate the digests (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
@@ -28,10 +28,12 @@ from test_acceptance import _corpus
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
-def _error_paths(tmp: Path) -> list[list[str]]:
+def _edge_cases(tmp: Path) -> list[list[str]]:
     fx = lambda name: str(FIXTURES / name)
     bad_ring = tmp / "bad_ring.prob"
     bad_ring.write_text("ring: p=4; vars=x\n")
+    zero = str(tmp / "zero.prob")
+    Path(zero).write_text("ring: p=5; vars=x,y\nideal Z: 0;\nideal A: x;\n")
     bad_json = tmp / "bad.json"
     bad_json.write_text("{not json")
     return [
@@ -50,6 +52,13 @@ def _error_paths(tmp: Path) -> list[list[str]]:
         ["verify-cert", str(tmp / "missing.json")],
         ["verify-cert", str(bad_json)],
         ["nf", fx("minors_2x2.prob")],
+        ["gb", zero],
+        ["initial", zero],
+        ["nf", zero, "--poly", "x"],
+        ["intersect", zero],
+        ["colon", zero, "--by", "x"],
+        ["power", zero, "-m", "2"],
+        ["homogenize", zero, "--weight", "1,1"],
     ]
 
 
@@ -76,7 +85,7 @@ def capture(tmp: Path) -> list[dict]:
     for args, _ in _corpus(tmp):
         plain = [a for a in args if a != "--json"]
         runs += [plain, plain + ["--json"]]
-    for args in _error_paths(tmp):
+    for args in _edge_cases(tmp):
         runs += [args, args + ["--json"]]
     records = []
     for argv in runs:
