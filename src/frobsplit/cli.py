@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from ._version import __version__
 from .field_poly import (
@@ -37,25 +37,15 @@ from .groebner import (
     Budget,
     DEFAULT_MAX_PAIRS,
     IdealPresentation,
-    MonomialIdeal,
     ResourceLimitError,
     initial_ideal,
     member,
     normal_form,
     reduced_gb,
 )
-from . import ideal_ops
-from . import frobenius
-from . import criteria
+from . import criteria, frobenius, ideal_ops
 
 BUDGET_ENV_VAR = "FROBSPLIT_BUDGET_PAIRS"
-
-SUBCOMMANDS = (
-    "gb", "nf", "initial", "member", "intersect", "colon", "saturate",
-    "power", "bracket-power", "symbolic", "homogenize", "fibers", "dim",
-    "trace", "star", "is-splitting", "fedder", "compatible", "fsplit",
-    "charp-cert", "symb-cert", "verify-cert",
-)
 
 
 class InputError(FieldPolyError):
@@ -79,9 +69,8 @@ class ProblemFile:
         if not self.ideals:
             raise InputError("the problem file declares no ideals")
         if name is None:
-            first = next(iter(self.ideals))
-            return first, self.ideals[first]
-        if name not in self.ideals:
+            name = next(iter(self.ideals))
+        elif name not in self.ideals:
             raise InputError(f"unknown ideal {name!r}")
         return name, self.ideals[name]
 
@@ -100,6 +89,22 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("the ring must be declared first", tok.line, tok.column)
         return ring
 
+    def setting(key: str) -> None:
+        kw = ts.expect("ident")
+        if kw.value != key:
+            raise ParseError(f"expected '{key}='", kw.line, kw.column)
+        ts.expect("=")
+
+    def comma_list(item) -> list:
+        items = [item()]
+        while ts.peek() is not None and ts.peek().kind == ",":
+            ts.next()
+            items.append(item())
+        return items
+
+    def integer() -> int:
+        return int(ts.expect("int").value)
+
     while True:
         tok = ts.peek()
         if tok is None:
@@ -111,20 +116,11 @@ def parse_problem(text: str) -> ProblemFile:
             if ring is not None:
                 raise ParseError("duplicate ring declaration", tok.line, tok.column)
             ts.expect(":")
-            kw = ts.expect("ident")
-            if kw.value != "p":
-                raise ParseError("expected 'p='", kw.line, kw.column)
-            ts.expect("=")
-            p = int(ts.expect("int").value)
+            setting("p")
+            p = integer()
             ts.expect(";")
-            kw = ts.expect("ident")
-            if kw.value != "vars":
-                raise ParseError("expected 'vars='", kw.line, kw.column)
-            ts.expect("=")
-            names = [ts.expect("ident").value]
-            while ts.peek() is not None and ts.peek().kind == ",":
-                ts.next()
-                names.append(ts.expect("ident").value)
+            setting("vars")
+            names = comma_list(lambda: ts.expect("ident").value)
             try:
                 ring = RingContext(p, tuple(names))
             except FieldPolyError as exc:
@@ -138,15 +134,9 @@ def parse_problem(text: str) -> ProblemFile:
                 order = MonomialOrder(kind.value)
             elif kind.value == "weight":
                 ts.expect("(")
-                ws = [int(ts.expect("int").value)]
-                while ts.peek() is not None and ts.peek().kind == ",":
-                    ts.next()
-                    ws.append(int(ts.expect("int").value))
+                ws = comma_list(integer)
                 ts.expect(";")
-                kw = ts.expect("ident")
-                if kw.value != "tie":
-                    raise ParseError("expected 'tie='", kw.line, kw.column)
-                ts.expect("=")
+                setting("tie")
                 tie = ts.expect("ident")
                 if tie.value not in ("lex", "grevlex"):
                     raise ParseError("tiebreak must be lex or grevlex", tie.line, tie.column)
@@ -161,30 +151,22 @@ def parse_problem(text: str) -> ProblemFile:
             if weights is not None:
                 raise ParseError("duplicate weight declaration", tok.line, tok.column)
             ts.expect(":")
-            ws = [int(ts.expect("int").value)]
-            while ts.peek() is not None and ts.peek().kind == ",":
-                ts.next()
-                ws.append(int(ts.expect("int").value))
-            weights = tuple(ws)
+            weights = tuple(comma_list(integer))
         elif tok.value == "ideal":
             r = need_ring(tok)
             name = ts.expect("ident").value
             if name in ideals:
                 raise ParseError(f"duplicate ideal {name!r}", tok.line, tok.column)
             ts.expect(":")
-            gens = [parse_polynomial_stream(r, ts)]
-            while ts.peek() is not None and ts.peek().kind == ",":
-                ts.next()
-                gens.append(parse_polynomial_stream(r, ts))
+            gens = comma_list(lambda: parse_polynomial_stream(r, ts))
             ts.expect(";")
             ideals[name] = IdealPresentation(r, tuple(gens))
         elif tok.value == "witness":
             r = need_ring(tok)
             name = ts.expect("ident").value
             ts.expect(":")
-            w = parse_polynomial_stream(r, ts)
+            witnesses[name] = parse_polynomial_stream(r, ts)
             ts.expect(";")
-            witnesses[name] = w
         else:
             raise ParseError(f"unknown statement {tok.value!r}", tok.line, tok.column)
 
@@ -217,6 +199,9 @@ def problem_text(pf: ProblemFile) -> str:
 
 
 # -- dispatch -------------------------------------------------------------------
+# Handlers reach the library through module attributes (``criteria.x``) or
+# this module's imported names, looked up at call time: the benchmark traces
+# the library by rebinding those names, which a stored reference would bypass.
 
 
 @dataclass
@@ -226,403 +211,269 @@ class Outcome:
     result: dict
 
 
-def _budget(args) -> Budget:
+@dataclass
+class Context:
+    """One invocation's inputs, resolved before the handler runs."""
+
+    args: argparse.Namespace
+    budget: Budget
+    problem: ProblemFile | None = None  # None for verify-cert
+    name: str | None = None  # the --ideal name and its ideal, for commands that take it
+    ideal: IdealPresentation | None = None
+    poly: Polynomial | None = None  # the parsed --poly, for commands that take it
+
+    @property
+    def order(self) -> MonomialOrder:
+        return self.problem.order
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from None
+
+
+def _context(args) -> Context:
+    """Resolve what the handlers share; input errors surface in the order below."""
     pairs = args.budget_pairs
     if pairs is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         pairs = int(env) if env else DEFAULT_MAX_PAIRS
-    return Budget(max_pairs=pairs)
-
-
-def _load(args) -> ProblemFile:
-    try:
-        text = open(args.problem, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise InputError(f"cannot read problem file: {exc}") from None
-    pf = parse_problem(text)
+    ctx = Context(args, Budget(max_pairs=pairs))
+    if "problem" not in args:
+        return ctx
+    pf = ctx.problem = parse_problem(_read(args.problem, "problem"))
     if args.order:
         pf.order = parse_order(args.order)
-    if getattr(args, "weight", None):
+    if "weight" in args and args.weight:
         pf.weights = tuple(int(x) for x in args.weight.split(","))
         if len(pf.weights) != pf.ring.n:
             raise InputError("weight vector length does not match the ring")
-    return pf
-
-
-def _parse_poly(pf: ProblemFile, text: str) -> Polynomial:
-    return pf.ring.parse(text)
-
-
-def _gens(I: IdealPresentation, order) -> list[str]:
-    return [g.text(order) for g in I.generators]
-
-
-def _weights_for(pf: ProblemFile) -> tuple:
-    if pf.weights is None:
+    if "ideal" in args:
+        ctx.name, ctx.ideal = pf.ideal(args.ideal)
+    if "weight" in args and pf.weights is None:
         raise InputError("no weight vector: add a 'weight:' line or pass --weight")
-    return pf.weights
+    if "poly" in args:
+        ctx.poly = pf.ring.parse(args.poly)
+    return ctx
 
 
-def _maybe_write_cert(args, cert: criteria.Certificate) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_json())
-
-
-def _cert_outcome(args, cert: criteria.Certificate, budget, extra: dict | None = None,
-                  exit_code: int = 0, headline: str = "") -> Outcome:
-    verified = None
-    if args.verify:
-        verified = criteria.verify_certificate(cert, budget)
-    _maybe_write_cert(args, cert)
-    result = {"certificate": cert.data}
-    if extra:
-        result.update(extra)
-    if verified is not None:
-        result["verified"] = verified
-    lines = [headline] if headline else []
-    lines.append(f"certificate kind: {cert.kind}")
-    for key, val in cert.data["conclusion"].items():
-        lines.append(f"  {key}: {val}")
-    if verified is not None:
-        lines.append(f"verified by replay: {verified}")
-    if getattr(args, "out", None):
-        lines.append(f"certificate written to {args.out}")
-    return Outcome(exit_code, "\n".join(lines), result)
-
-
-def cmd_gb(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    gb = reduced_gb(I, pf.order, _budget(args))
-    basis = [g.text(pf.order) for g in gb.elements]
-    human = [f"reduced Groebner basis of {name} ({len(basis)} elements, order {pf.order.text()}):"]
-    human += [f"  {t}" for t in basis]
-    return Outcome(0, "\n".join(human), {"ideal": name, "order": pf.order.text(), "basis": basis})
-
-
-def cmd_nf(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    f = _parse_poly(pf, args.poly)
-    gb = reduced_gb(I, pf.order, _budget(args))
-    r = normal_form(f, gb.elements, pf.order) if gb.elements else f
-    return Outcome(
-        0,
-        f"normal form of {f.text(pf.order)} modulo {name}: {r.text(pf.order)}",
-        {"ideal": name, "poly": f.text(pf.order), "normal_form": r.text(pf.order)},
-    )
-
-
-def cmd_initial(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    M = initial_ideal(I, pf.order, _budget(args))
-    gens = [m.text() for m in M.generators]
-    sqf = M.is_squarefree()
-    human = [f"initial ideal of {name} (order {pf.order.text()}):"]
-    human += [f"  {t}" for t in gens]
-    human.append(f"squarefree: {sqf}")
-    return Outcome(0, "\n".join(human), {"ideal": name, "generators": gens, "squarefree": sqf})
-
-
-def cmd_member(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    f = _parse_poly(pf, args.poly)
-    got = member(f, I, pf.order, _budget(args))
-    return Outcome(
-        0 if got else 1,
-        f"{f.text(pf.order)} in {name}: {got}",
-        {"ideal": name, "poly": f.text(pf.order), "member": got},
-    )
-
-
-def _two_ideals(pf: ProblemFile, spec: str | None):
-    if spec:
-        names = spec.split(",")
-        if len(names) != 2:
-            raise InputError("--ideals expects two comma-separated names")
-    else:
-        names = list(pf.ideals)[:2]
-        if len(names) < 2:
-            raise InputError("need two ideals in the problem file")
-    pairs = [pf.ideal(n.strip()) for n in names]
-    return pairs[0], pairs[1]
-
-
-def cmd_intersect(args) -> Outcome:
-    pf = _load(args)
-    (na, A), (nb, B) = _two_ideals(pf, args.ideals)
-    R = ideal_ops.intersect(A, B, pf.order, _budget(args))
-    gens = _gens(R, pf.order)
-    return Outcome(
-        0,
-        f"{na} ∩ {nb}:\n" + "\n".join(f"  {t}" for t in gens),
-        {"ideals": [na, nb], "generators": gens},
-    )
-
-
-def cmd_colon(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    budget = _budget(args)
-    if args.by_ideal:
-        jname, J = pf.ideal(args.by_ideal)
-        R = ideal_ops.colon_ideal(I, J, pf.order, budget)
-        by = jname
-    elif args.by:
-        f = _parse_poly(pf, args.by)
-        R = ideal_ops.colon(I, f, pf.order, budget)
-        by = f.text(pf.order)
-    else:
-        raise InputError("colon needs --by POLY or --by-ideal NAME")
-    gens = _gens(R, pf.order)
-    return Outcome(
-        0,
-        f"{name} : {by}\n" + "\n".join(f"  {t}" for t in gens),
-        {"ideal": name, "by": by, "generators": gens},
-    )
-
-
-def cmd_saturate(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    f = _parse_poly(pf, args.by)
-    R = ideal_ops.saturate(I, f, pf.order, _budget(args))
-    gens = _gens(R, pf.order)
-    k = R.provenance["saturation_exponent"]
-    return Outcome(
-        0,
-        f"{name} : ({f.text(pf.order)})^inf  [stabilized after {k} colon steps]\n"
-        + "\n".join(f"  {t}" for t in gens),
-        {"ideal": name, "by": f.text(pf.order), "generators": gens, "saturation_exponent": k},
-    )
-
-
-def cmd_power(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    R = ideal_ops.power(I, args.m)
-    gens = _gens(R, pf.order)
-    return Outcome(
-        0,
-        f"{name}^{args.m}:\n" + "\n".join(f"  {t}" for t in gens),
-        {"ideal": name, "m": args.m, "generators": gens},
-    )
-
-
-def cmd_bracket_power(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    R = ideal_ops.bracket_power(I, args.e)
-    gens = _gens(R, pf.order)
-    q = pf.ring.p ** args.e
-    return Outcome(
-        0,
-        f"{name}^[{q}]:\n" + "\n".join(f"  {t}" for t in gens),
-        {"ideal": name, "e": args.e, "generators": gens},
-    )
-
-
-def _witness_for(pf: ProblemFile, args, name: str) -> Polynomial:
-    if getattr(args, "witness", None):
-        return _parse_poly(pf, args.witness)
-    if name in pf.witnesses:
-        return pf.witnesses[name]
+def _witness(ctx: Context, name: str) -> Polynomial:
+    if ctx.args.witness:
+        return ctx.problem.ring.parse(ctx.args.witness)
+    if name in ctx.problem.witnesses:
+        return ctx.problem.witnesses[name]
     raise InputError(f"no witness for ideal {name!r}: add a witness line or pass --witness")
 
 
-def cmd_symbolic(args) -> Outcome:
-    pf = _load(args)
-    name, P = pf.ideal(args.ideal)
-    g = _witness_for(pf, args, name)
-    R = ideal_ops.symbolic_power_prime(P, args.m, g, pf.order, _budget(args))
-    gens = _gens(R, pf.order)
-    return Outcome(
-        0,
-        f"{name}^({args.m}) relative to witness {g.text(pf.order)}:\n"
-        + "\n".join(f"  {t}" for t in gens),
-        {
-            "ideal": name,
-            "m": args.m,
-            "witness": g.text(pf.order),
-            "generators": gens,
-            "saturation_exponent": R.provenance["saturation_exponent"],
-        },
-    )
+# -- renderers: generator listing, boolean verdict, certificate outcome ----------
 
 
-def cmd_homogenize(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    w = _weights_for(pf)
-    H = ideal_ops.homogenize_w(I, w, pf.order, _budget(args))
-    gens = _gens(H, pf.order)
-    return Outcome(
-        0,
-        f"weight homogenization of {name} (weights {','.join(map(str, w))}, "
-        f"new variable {H.ring.names[-1]}):\n" + "\n".join(f"  {t}" for t in gens),
-        {
-            "ideal": name,
-            "weights": list(w),
-            "variables": list(H.ring.names),
-            "generators": gens,
-        },
-    )
+def _listing(ctx: Context, head: str, R: IdealPresentation, result: dict, **after) -> Outcome:
+    """Generator listing; the ``after`` fields follow ``generators`` in the result."""
+    gens = [g.text(ctx.order) for g in R.generators]
+    result.update(generators=gens, **after)
+    return Outcome(0, head + "\n" + "\n".join(f"  {t}" for t in gens), result)
 
 
-def cmd_fibers(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    w = _weights_for(pf)
-    budget = _budget(args)
-    cert = criteria.deformation_fibers(I, w, pf.order, budget)
-    return _cert_outcome(args, cert, budget, extra={"ideal": name},
-                         headline=f"deformation fibers of {name}: both checks passed")
+def _verdict(claim: str, ok: bool, result: dict, detail: str = "") -> Outcome:
+    return Outcome(0 if ok else 1, f"{claim}: {ok}{detail}", result)
 
 
-def cmd_dim(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    M = initial_ideal(I, pf.order, _budget(args))
-    dim = ideal_ops.monomial_dimension(M)
-    height = pf.ring.n - dim
-    return Outcome(
-        0,
-        f"dim S/in({name}) = {dim}, height = {height}",
-        {
-            "ideal": name,
-            "initial_generators": [m.text() for m in M.generators],
-            "dimension": dim,
-            "height": height,
-        },
-    )
-
-
-def cmd_trace(args) -> Outcome:
-    pf = _load(args)
-    g = _parse_poly(pf, args.poly)
-    t = frobenius.trace(g)
-    return Outcome(
-        0,
-        f"trace({g.text(pf.order)}) = {t.text(pf.order)}",
-        {"poly": g.text(pf.order), "trace": t.text(pf.order)},
-    )
-
-
-def cmd_star(args) -> Outcome:
-    pf = _load(args)
-    f = _parse_poly(pf, args.poly)
-    g = _parse_poly(pf, args.on)
-    v = frobenius.star_apply(f, g)
-    return Outcome(
-        0,
-        f"({f.text(pf.order)} * trace)({g.text(pf.order)}) = {v.text(pf.order)}",
-        {"carrier": f.text(pf.order), "arg": g.text(pf.order), "value": v.text(pf.order)},
-    )
-
-
-def cmd_is_splitting(args) -> Outcome:
-    pf = _load(args)
-    f = _parse_poly(pf, args.poly)
-    chk = frobenius.is_splitting(f)
-    result = {
-        "poly": f.text(pf.order),
-        "splitting": chk.ok,
-        "violation": chk.violation.text() if chk.violation else None,
-        "reason": chk.reason,
-    }
-    human = f"{f.text(pf.order)} * trace is an F-splitting: {chk.ok}"
-    if not chk.ok:
-        human += f"\n  violation: {chk.violation.text()} ({chk.reason})"
-    return Outcome(0 if chk.ok else 1, human, result)
-
-
-def cmd_fedder(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    f = _parse_poly(pf, args.poly)
-    got = frobenius.fedder_membership(f, I, pf.order, _budget(args))
-    return Outcome(
-        0 if got else 1,
-        f"{f.text(pf.order)} in {name}^[p] : {name}: {got}",
-        {"ideal": name, "poly": f.text(pf.order), "member": got},
-    )
-
-
-def cmd_compatible(args) -> Outcome:
-    pf = _load(args)
-    name, J = pf.ideal(args.ideal)
-    f = _parse_poly(pf, args.poly)
-    got = frobenius.compatible_check(f, J, pf.order, _budget(args))
-    return Outcome(
-        0 if got else 1,
-        f"({f.text(pf.order)} * trace)({name}) ⊆ {name}: {got}",
-        {"ideal": name, "poly": f.text(pf.order), "compatible": got},
-    )
-
-
-def cmd_fsplit(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    budget = _budget(args)
-    cert = criteria.fsplit_certificate(I, pf.order, budget)
-    split = cert.data["conclusion"]["f_split"]
-    return _cert_outcome(
-        args, cert, budget, extra={"ideal": name},
-        exit_code=0 if split else 1,
-        headline=f"S/{name} F-split: {split}",
-    )
-
-
-def cmd_charp_cert(args) -> Outcome:
-    pf = _load(args)
-    name, I = pf.ideal(args.ideal)
-    budget = _budget(args)
-    res = criteria.charp_certificate(I, pf.order, budget)
+def _certificate(ctx: Context, res, fields: dict, headline: str, exit_code: int = 0) -> Outcome:
     if isinstance(res, criteria.NotFound):
-        return Outcome(
-            1,
-            f"no certificate: {res.reason}\n  details: {json.dumps(res.details)}",
-            {"ideal": name, "not_found": {"reason": res.reason, "details": res.details}},
-        )
-    return _cert_outcome(args, res, budget, extra={"ideal": name},
-                         headline=f"certificate found for {name}")
+        human = f"no certificate: {res.reason}\n  details: {json.dumps(res.details)}"
+        return Outcome(1, human, {**fields, "not_found": asdict(res)})
+    out = ctx.args.out
+    verified = criteria.verify_certificate(res, ctx.budget) if ctx.args.verify else None
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(res.to_json())
+    result = {"certificate": res.data, **fields}
+    lines = [headline, f"certificate kind: {res.kind}"]
+    lines += [f"  {key}: {val}" for key, val in res.conclusion.items()]
+    if verified is not None:
+        result["verified"] = verified
+        lines.append(f"verified by replay: {verified}")
+    if out:
+        lines.append(f"certificate written to {out}")
+    return Outcome(exit_code, "\n".join(lines), result)
 
 
-def cmd_symb_cert(args) -> Outcome:
-    pf = _load(args)
-    if args.ideals:
-        names = [n.strip() for n in args.ideals.split(",")]
+def cmd_gb(ctx: Context) -> Outcome:
+    o = ctx.order
+    basis = [g.text(o) for g in reduced_gb(ctx.ideal, o, ctx.budget).elements]
+    human = [f"reduced Groebner basis of {ctx.name} ({len(basis)} elements, order {o.text()}):"]
+    human += [f"  {t}" for t in basis]
+    return Outcome(0, "\n".join(human), {"ideal": ctx.name, "order": o.text(), "basis": basis})
+
+
+def cmd_nf(ctx: Context) -> Outcome:
+    f, o = ctx.poly, ctx.order
+    gb = reduced_gb(ctx.ideal, o, ctx.budget)
+    r = normal_form(f, gb.elements, o) if gb.elements else f
+    result = {"ideal": ctx.name, "poly": f.text(o), "normal_form": r.text(o)}
+    return Outcome(0, f"normal form of {f.text(o)} modulo {ctx.name}: {r.text(o)}", result)
+
+
+def cmd_initial(ctx: Context) -> Outcome:
+    M = initial_ideal(ctx.ideal, ctx.order, ctx.budget)
+    gens = [m.text() for m in M.generators]
+    sqf = M.is_squarefree()
+    human = [f"initial ideal of {ctx.name} (order {ctx.order.text()}):"]
+    human += [f"  {t}" for t in gens] + [f"squarefree: {sqf}"]
+    return Outcome(0, "\n".join(human), {"ideal": ctx.name, "generators": gens, "squarefree": sqf})
+
+
+def cmd_member(ctx: Context) -> Outcome:
+    ok = member(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    f = ctx.poly.text(ctx.order)
+    return _verdict(f"{f} in {ctx.name}", ok, {"ideal": ctx.name, "poly": f, "member": ok})
+
+
+def cmd_intersect(ctx: Context) -> Outcome:
+    spec = ctx.args.ideals
+    names = spec.split(",") if spec else list(ctx.problem.ideals)[:2]
+    if len(names) != 2:
+        raise InputError("--ideals expects two comma-separated names" if spec
+                         else "need two ideals in the problem file")
+    (na, A), (nb, B) = [ctx.problem.ideal(n.strip()) for n in names]
+    R = ideal_ops.intersect(A, B, ctx.order, ctx.budget)
+    return _listing(ctx, f"{na} ∩ {nb}:", R, {"ideals": [na, nb]})
+
+
+def cmd_colon(ctx: Context) -> Outcome:
+    args, o = ctx.args, ctx.order
+    if args.by_ideal:
+        by, J = ctx.problem.ideal(args.by_ideal)
+        R = ideal_ops.colon_ideal(ctx.ideal, J, o, ctx.budget)
+    elif args.by:
+        f = ctx.problem.ring.parse(args.by)
+        R = ideal_ops.colon(ctx.ideal, f, o, ctx.budget)
+        by = f.text(o)
     else:
-        names = list(pf.ideals)
-    primes = []
-    for n in names:
-        _, P = pf.ideal(n)
-        primes.append((P, _witness_for(pf, args, n)))
-    budget = _budget(args)
-    res = criteria.symb_certificate(primes, pf.order, budget)
-    if isinstance(res, criteria.NotFound):
-        return Outcome(
-            1,
-            f"no certificate: {res.reason}\n  details: {json.dumps(res.details)}",
-            {"ideals": names, "not_found": {"reason": res.reason, "details": res.details}},
-        )
-    return _cert_outcome(args, res, budget, extra={"ideals": names},
-                         headline=f"certificate found for intersection of {', '.join(names)}")
+        raise InputError("colon needs --by POLY or --by-ideal NAME")
+    return _listing(ctx, f"{ctx.name} : {by}", R, {"ideal": ctx.name, "by": by})
 
 
-def cmd_verify_cert(args) -> Outcome:
-    try:
-        text = open(args.certificate, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise InputError(f"cannot read certificate file: {exc}") from None
+def cmd_saturate(ctx: Context) -> Outcome:
+    o = ctx.order
+    f = ctx.problem.ring.parse(ctx.args.by)
+    R = ideal_ops.saturate(ctx.ideal, f, o, ctx.budget)
+    k = R.provenance["saturation_exponent"]
+    head = f"{ctx.name} : ({f.text(o)})^inf  [stabilized after {k} colon steps]"
+    return _listing(ctx, head, R, {"ideal": ctx.name, "by": f.text(o)}, saturation_exponent=k)
+
+
+def cmd_power(ctx: Context) -> Outcome:
+    m = ctx.args.m
+    return _listing(ctx, f"{ctx.name}^{m}:", ideal_ops.power(ctx.ideal, m), {"ideal": ctx.name, "m": m})
+
+
+def cmd_bracket_power(ctx: Context) -> Outcome:
+    e = ctx.args.e
+    R = ideal_ops.bracket_power(ctx.ideal, e)
+    return _listing(ctx, f"{ctx.name}^[{ctx.problem.ring.p ** e}]:", R, {"ideal": ctx.name, "e": e})
+
+
+def cmd_symbolic(ctx: Context) -> Outcome:
+    m, o = ctx.args.m, ctx.order
+    g = _witness(ctx, ctx.name)
+    R = ideal_ops.symbolic_power_prime(ctx.ideal, m, g, o, ctx.budget)
+    head = f"{ctx.name}^({m}) relative to witness {g.text(o)}:"
+    fields = {"ideal": ctx.name, "m": m, "witness": g.text(o)}
+    return _listing(ctx, head, R, fields, saturation_exponent=R.provenance["saturation_exponent"])
+
+
+def cmd_homogenize(ctx: Context) -> Outcome:
+    w = ctx.problem.weights
+    H = ideal_ops.homogenize_w(ctx.ideal, w, ctx.order, ctx.budget)
+    head = f"weight homogenization of {ctx.name} (weights {','.join(map(str, w))}, "
+    head += f"new variable {H.ring.names[-1]}):"
+    fields = {"ideal": ctx.name, "weights": list(w), "variables": list(H.ring.names)}
+    return _listing(ctx, head, H, fields)
+
+
+def cmd_fibers(ctx: Context) -> Outcome:
+    cert = criteria.deformation_fibers(ctx.ideal, ctx.problem.weights, ctx.order, ctx.budget)
+    headline = f"deformation fibers of {ctx.name}: both checks passed"
+    return _certificate(ctx, cert, {"ideal": ctx.name}, headline)
+
+
+def cmd_dim(ctx: Context) -> Outcome:
+    M = initial_ideal(ctx.ideal, ctx.order, ctx.budget)
+    dim = ideal_ops.monomial_dimension(M)
+    height = ctx.problem.ring.n - dim
+    gens = [m.text() for m in M.generators]
+    result = {"ideal": ctx.name, "initial_generators": gens, "dimension": dim, "height": height}
+    return Outcome(0, f"dim S/in({ctx.name}) = {dim}, height = {height}", result)
+
+
+def cmd_trace(ctx: Context) -> Outcome:
+    g, o = ctx.poly, ctx.order
+    t = frobenius.trace(g)
+    return Outcome(0, f"trace({g.text(o)}) = {t.text(o)}", {"poly": g.text(o), "trace": t.text(o)})
+
+
+def cmd_star(ctx: Context) -> Outcome:
+    f, o = ctx.poly, ctx.order
+    g = ctx.problem.ring.parse(ctx.args.on)
+    v = frobenius.star_apply(f, g)
+    result = {"carrier": f.text(o), "arg": g.text(o), "value": v.text(o)}
+    return Outcome(0, f"({f.text(o)} * trace)({g.text(o)}) = {v.text(o)}", result)
+
+
+def cmd_is_splitting(ctx: Context) -> Outcome:
+    f, o = ctx.poly, ctx.order
+    chk = frobenius.is_splitting(f)
+    violation = chk.violation.text() if chk.violation else None
+    result = {"poly": f.text(o), "splitting": chk.ok, "violation": violation, "reason": chk.reason}
+    detail = "" if chk.ok else f"\n  violation: {violation} ({chk.reason})"
+    return _verdict(f"{f.text(o)} * trace is an F-splitting", chk.ok, result, detail)
+
+
+def cmd_fedder(ctx: Context) -> Outcome:
+    ok = frobenius.fedder_membership(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    f, name = ctx.poly.text(ctx.order), ctx.name
+    return _verdict(f"{f} in {name}^[p] : {name}", ok, {"ideal": name, "poly": f, "member": ok})
+
+
+def cmd_compatible(ctx: Context) -> Outcome:
+    ok = frobenius.compatible_check(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    f, name = ctx.poly.text(ctx.order), ctx.name
+    return _verdict(f"({f} * trace)({name}) ⊆ {name}", ok, {"ideal": name, "poly": f, "compatible": ok})
+
+
+def cmd_fsplit(ctx: Context) -> Outcome:
+    cert = criteria.fsplit_certificate(ctx.ideal, ctx.order, ctx.budget)
+    split = cert.conclusion["f_split"]
+    headline = f"S/{ctx.name} F-split: {split}"
+    return _certificate(ctx, cert, {"ideal": ctx.name}, headline, 0 if split else 1)
+
+
+def cmd_charp_cert(ctx: Context) -> Outcome:
+    res = criteria.charp_certificate(ctx.ideal, ctx.order, ctx.budget)
+    return _certificate(ctx, res, {"ideal": ctx.name}, f"certificate found for {ctx.name}")
+
+
+def cmd_symb_cert(ctx: Context) -> Outcome:
+    pf, spec = ctx.problem, ctx.args.ideals
+    names = [n.strip() for n in spec.split(",")] if spec else list(pf.ideals)
+    primes = [(pf.ideal(n)[1], _witness(ctx, n)) for n in names]
+    res = criteria.symb_certificate(primes, ctx.order, ctx.budget)
+    headline = f"certificate found for intersection of {', '.join(names)}"
+    return _certificate(ctx, res, {"ideals": names}, headline)
+
+
+def cmd_verify_cert(ctx: Context) -> Outcome:
+    text = _read(ctx.args.certificate, "certificate")
     try:
         cert = criteria.Certificate.from_json(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid certificate JSON: {exc}") from None
-    report = criteria.replay(cert, _budget(args))
+    report = criteria.replay(cert, ctx.budget)
     steps = [
         {"index": s.index, "op": s.op, "recorded_ok": s.recorded_ok, "recomputed_ok": s.recomputed_ok}
         for s in report.steps
@@ -631,38 +482,75 @@ def cmd_verify_cert(args) -> Outcome:
     for s in report.steps:
         mark = "ok" if (s.consistent and s.recomputed_ok) else "MISMATCH"
         human.append(f"  [{s.index}] {s.op}: {mark}")
-    human.append(f"verified: {report.ok}")
-    return Outcome(
-        0 if report.ok else 1,
-        "\n".join(human),
-        {"kind": cert.kind, "verified": report.ok, "steps": steps},
-    )
+    human.append("verified")  # the verdict line, completed by _verdict
+    result = {"kind": cert.kind, "verified": report.ok, "steps": steps}
+    return _verdict("\n".join(human), report.ok, result)
 
 
-_HANDLERS = {
-    "gb": cmd_gb,
-    "nf": cmd_nf,
-    "initial": cmd_initial,
-    "member": cmd_member,
-    "intersect": cmd_intersect,
-    "colon": cmd_colon,
-    "saturate": cmd_saturate,
-    "power": cmd_power,
-    "bracket-power": cmd_bracket_power,
-    "symbolic": cmd_symbolic,
-    "homogenize": cmd_homogenize,
-    "fibers": cmd_fibers,
-    "dim": cmd_dim,
-    "trace": cmd_trace,
-    "star": cmd_star,
-    "is-splitting": cmd_is_splitting,
-    "fedder": cmd_fedder,
-    "compatible": cmd_compatible,
-    "fsplit": cmd_fsplit,
-    "charp-cert": cmd_charp_cert,
-    "symb-cert": cmd_symb_cert,
-    "verify-cert": cmd_verify_cert,
+# -- the command table ------------------------------------------------------------
+# name -> (handler, help, flags); a flag is (name, add_argument options).  The
+# table's order is the order of SUBCOMMANDS, of the help listing and of the
+# schema's command enum.
+
+_COMMON = (
+    ("--json", dict(action="store_true", help="emit a JSON envelope")),
+    ("--budget-pairs", dict(type=int, help=f"Buchberger pair budget (default {DEFAULT_MAX_PAIRS}, "
+                            f"or ${BUDGET_ENV_VAR})")),
+)
+_PROBLEM = (
+    ("problem", dict(help="problem file")),
+    ("--order", dict(help="override the order (lex, grevlex, weight(...; tie=...))")),
+    *_COMMON,
+)
+_CERT = (
+    ("--out", dict(help="write the certificate JSON to this file")),
+    ("--verify", dict(action="store_true", help="replay the certificate before reporting")),
+)
+_IDEAL = ("--ideal", dict(help="ideal name (default: first in file)"))
+_POLY = ("--poly", dict(required=True))
+_M = ("-m", dict(type=int, required=True))
+_WEIGHT = ("--weight", dict(help="comma-separated weights"))
+_BY = ("--by", dict(help="colon by this polynomial"))
+_BY_IDEAL = ("--by-ideal", dict(help="colon by this ideal"))
+_BY_POLY = ("--by", dict(required=True))
+_E = ("-e", dict(type=int, default=1))
+_PAIR = ("--ideals", dict(help="two comma-separated ideal names"))
+_PRIMES = ("--ideals", dict(help="comma-separated prime names (default: all)"))
+_OVERRIDE = ("--witness", dict(help="witness override (single-prime runs)"))
+_CARRIER = ("--poly", dict(required=True, help="carrier polynomial"))
+_ON = ("--on", dict(required=True, help="argument polynomial"))
+
+_COMMANDS = {
+    "gb": (cmd_gb, "reduced Groebner basis", (*_PROBLEM, _IDEAL)),
+    "nf": (cmd_nf, "normal form of a polynomial", (*_PROBLEM, _IDEAL, _POLY)),
+    "initial": (cmd_initial, "initial ideal (minimal monomial generators)", (*_PROBLEM, _IDEAL)),
+    "member": (cmd_member, "ideal membership", (*_PROBLEM, _IDEAL, _POLY)),
+    "intersect": (cmd_intersect, "intersection of two ideals", (*_PROBLEM, _PAIR)),
+    "colon": (cmd_colon, "colon by a polynomial or an ideal", (*_PROBLEM, _IDEAL, _BY, _BY_IDEAL)),
+    "saturate": (cmd_saturate, "saturation by a polynomial", (*_PROBLEM, _IDEAL, _BY_POLY)),
+    "power": (cmd_power, "ordinary ideal power", (*_PROBLEM, _IDEAL, _M)),
+    "bracket-power": (cmd_bracket_power, "Frobenius bracket power I^[p^e]", (*_PROBLEM, _IDEAL, _E)),
+    "symbolic": (cmd_symbolic, "symbolic power of a prime (witness-relative)",
+                 (*_PROBLEM, _IDEAL, _M, ("--witness", {}))),
+    "homogenize": (cmd_homogenize, "weight homogenization", (*_PROBLEM, _IDEAL, _WEIGHT)),
+    "fibers": (cmd_fibers, "deformation fiber certificate", (*_PROBLEM, _IDEAL, *_CERT, _WEIGHT)),
+    "dim": (cmd_dim, "dimension/height via the initial ideal", (*_PROBLEM, _IDEAL)),
+    "trace": (cmd_trace, "trace map of a polynomial", (*_PROBLEM, _POLY)),
+    "star": (cmd_star, "apply carrier * trace to a polynomial", (*_PROBLEM, _CARRIER, _ON)),
+    "is-splitting": (cmd_is_splitting, "check the two splitting conditions", (*_PROBLEM, _POLY)),
+    "fedder": (cmd_fedder, "membership in the Fedder colon I^[p] : I", (*_PROBLEM, _IDEAL, _POLY)),
+    "compatible": (cmd_compatible, "direct compatibility check by coset enumeration",
+                   (*_PROBLEM, _IDEAL, _POLY)),
+    "fsplit": (cmd_fsplit, "graded Fedder test for F-splitness of S/I", (*_PROBLEM, _IDEAL, *_CERT)),
+    "charp-cert": (cmd_charp_cert, "squarefree-initial-ideal certificate via the Fedder colon",
+                   (*_PROBLEM, _IDEAL, *_CERT)),
+    "symb-cert": (cmd_symb_cert, "squarefree-initial-ideal certificate via symbolic powers",
+                  (*_PROBLEM, *_CERT, _PRIMES, _OVERRIDE)),
+    "verify-cert": (cmd_verify_cert, "replay a certificate's verification log",
+                    (("certificate", dict(help="certificate JSON file")), *_COMMON)),
 }
+
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,135 +561,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"frobsplit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, problem=True):
-        if problem:
-            sp.add_argument("problem", help="problem file")
-            sp.add_argument("--order", help="override the order (lex, grevlex, weight(...; tie=...))")
-        sp.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        sp.add_argument(
-            "--budget-pairs",
-            type=int,
-            default=None,
-            help=f"Buchberger pair budget (default {DEFAULT_MAX_PAIRS}, or ${BUDGET_ENV_VAR})",
-        )
-
-    def ideal_arg(sp):
-        sp.add_argument("--ideal", default=None, help="ideal name (default: first in file)")
-
-    def cert_args(sp):
-        sp.add_argument("--out", default=None, help="write the certificate JSON to this file")
-        sp.add_argument("--verify", action="store_true", help="replay the certificate before reporting")
-
-    sp = sub.add_parser("gb", help="reduced Groebner basis")
-    common(sp); ideal_arg(sp)
-    sp = sub.add_parser("nf", help="normal form of a polynomial")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("initial", help="initial ideal (minimal monomial generators)")
-    common(sp); ideal_arg(sp)
-    sp = sub.add_parser("member", help="ideal membership")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("intersect", help="intersection of two ideals")
-    common(sp)
-    sp.add_argument("--ideals", default=None, help="two comma-separated ideal names")
-    sp = sub.add_parser("colon", help="colon by a polynomial or an ideal")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--by", default=None, help="colon by this polynomial")
-    sp.add_argument("--by-ideal", default=None, help="colon by this ideal")
-    sp = sub.add_parser("saturate", help="saturation by a polynomial")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--by", required=True)
-    sp = sub.add_parser("power", help="ordinary ideal power")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("-m", type=int, required=True)
-    sp = sub.add_parser("bracket-power", help="Frobenius bracket power I^[p^e]")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("-e", type=int, default=1)
-    sp = sub.add_parser("symbolic", help="symbolic power of a prime (witness-relative)")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("--witness", default=None)
-    sp = sub.add_parser("homogenize", help="weight homogenization")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--weight", default=None, help="comma-separated weights")
-    sp = sub.add_parser("fibers", help="deformation fiber certificate")
-    common(sp); ideal_arg(sp); cert_args(sp)
-    sp.add_argument("--weight", default=None, help="comma-separated weights")
-    sp = sub.add_parser("dim", help="dimension/height via the initial ideal")
-    common(sp); ideal_arg(sp)
-    sp = sub.add_parser("trace", help="trace map of a polynomial")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("star", help="apply carrier * trace to a polynomial")
-    common(sp)
-    sp.add_argument("--poly", required=True, help="carrier polynomial")
-    sp.add_argument("--on", required=True, help="argument polynomial")
-    sp = sub.add_parser("is-splitting", help="check the two splitting conditions")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("fedder", help="membership in the Fedder colon I^[p] : I")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("compatible", help="direct compatibility check by coset enumeration")
-    common(sp); ideal_arg(sp)
-    sp.add_argument("--poly", required=True)
-    sp = sub.add_parser("fsplit", help="graded Fedder test for F-splitness of S/I")
-    common(sp); ideal_arg(sp); cert_args(sp)
-    sp = sub.add_parser("charp-cert", help="squarefree-initial-ideal certificate via the Fedder colon")
-    common(sp); ideal_arg(sp); cert_args(sp)
-    sp = sub.add_parser("symb-cert", help="squarefree-initial-ideal certificate via symbolic powers")
-    common(sp); cert_args(sp)
-    sp.add_argument("--ideals", default=None, help="comma-separated prime names (default: all)")
-    sp.add_argument("--witness", default=None, help="witness override (single-prime runs)")
-    sp = sub.add_parser("verify-cert", help="replay a certificate's verification log")
-    sp.add_argument("certificate", help="certificate JSON file")
-    common(sp, problem=False)
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
     return parser
 
 
-def _emit(args, command: str, outcome: Outcome) -> int:
+def _emit(args, code: int, body: dict, human: str, stream) -> int:
     if args.json:
-        envelope = {
-            "command": command,
-            "ok": outcome.exit_code == 0,
-            "exit_code": outcome.exit_code,
-            "result": outcome.result,
-        }
+        envelope = {"command": args.command, "ok": code == 0, "exit_code": code, **body}
         sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
     else:
-        sys.stdout.write(outcome.human + "\n")
-    return outcome.exit_code
-
-
-def _emit_error(args, command: str, exc: Exception, code: int) -> int:
-    if getattr(args, "json", False):
-        envelope = {
-            "command": command,
-            "ok": False,
-            "exit_code": code,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
-    else:
-        sys.stderr.write(f"error: {exc}\n")
+        stream.write(human + "\n")
     return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    handler = _HANDLERS[command]
+    args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
-        outcome = handler(args)
+        outcome = handler(_context(args))
     except ResourceLimitError as exc:
-        return _emit_error(args, command, exc, 3)
+        code, error = 3, exc
     except (FieldPolyError, criteria.InconsistentInputError, ValueError) as exc:
-        return _emit_error(args, command, exc, 2)
-    return _emit(args, command, outcome)
+        code, error = 2, exc
+    else:
+        return _emit(args, outcome.exit_code, {"result": outcome.result}, outcome.human, sys.stdout)
+    body = {"error": {"type": type(error).__name__, "message": str(error)}}
+    return _emit(args, code, body, f"error: {error}", sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,6 +25,10 @@ LT, EQ, GT = -1, 0, 1
 # primality stays a cheap deterministic check.
 MAX_EXPONENT = 2**31 - 1
 MAX_MODULUS = 2**31 - 1
+# The polynomial parser recurses once per open parenthesis (four frames per
+# level); deeper input is rejected with a ParseError well before Python's
+# recursion limit would turn it into a crash.
+MAX_NESTING = 100
 
 
 class FieldPolyError(ValueError):
@@ -796,10 +800,13 @@ def parse_polynomial_stream(ring: RingContext, ts: TokenStream) -> Polynomial:
     """Parse one polynomial expression from a token stream.
 
     Stops before any token that cannot continue the expression (e.g. ``;`` or
-    ``,``), which lets problem-file parsing reuse this routine.
+    ``,``), which lets problem-file parsing reuse this routine.  Parentheses
+    nest at most ``MAX_NESTING`` deep.
     """
+    depth = 0
 
     def parse_atom() -> Polynomial:
+        nonlocal depth
         tok = ts.next()
         if tok.kind == "int":
             return ring.constant(int(tok.value))
@@ -808,8 +815,12 @@ def parse_polynomial_stream(ring: RingContext, ts: TokenStream) -> Polynomial:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
             return ring.variable(ring.names.index(tok.value))
         if tok.kind == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
+            depth += 1
             f = parse_expr()
             ts.expect(")")
+            depth -= 1
             return f
         raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.column)
 

@@ -362,11 +362,6 @@ def monomial_ideal_intersection_lcm(A: MonomialIdeal, B: MonomialIdeal) -> Monom
     return MonomialIdeal(A.ring, tuple(gens))
 
 
-def variables_ideal(ring: RingContext) -> IdealPresentation:
-    """The irrelevant maximal ideal (x_1, ..., x_n)."""
-    return IdealPresentation(ring, tuple(ring.variable(i) for i in range(ring.n)))
-
-
 def bracket_of_variables(ring: RingContext, e: int = 1) -> MonomialIdeal:
     """The monomial ideal (x_1^(p^e), ..., x_n^(p^e))."""
     q = ring.p**e

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ import pytest
 from frobsplit import cli
 from frobsplit import field_poly as fp
 
-from conftest import DOCS, FIXTURES
+from conftest import DOCS, FIXTURES, REPO
 
 SCHEMA = json.loads((DOCS / "output.schema.json").read_text())
 
@@ -32,6 +34,13 @@ def run_json(args):
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     return code, payload
+
+
+def run_python(*args):
+    """Run a fresh interpreter with ``args``, the package importable from ``src``."""
+    path = [str(REPO / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 # -- problem files -----------------------------------------------------------------
@@ -299,3 +308,42 @@ def test_cli_double_run_byte_identical():
         code1, out1, _ = run_cli(list(a))
         code2, out2, _ = run_cli(list(a))
         assert (code1, out1) == (code2, out2)
+
+
+def test_no_unclosed_files_in_dev_mode(tmp_path):
+    cert = tmp_path / "cert.json"
+    for argv in (["gb", F2X2], ["charp-cert", F2X2, "--out", str(cert)], ["verify-cert", str(cert)]):
+        proc = run_python("-X", "dev", "-W", "error::ResourceWarning", "-m", "frobsplit.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = run_python("-c", "import sys, frobsplit.cli; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    depth = fp.MAX_NESTING
+    code, _ = run_json(["trace", F2X2, "--poly", "(" * depth + "x1" + ")" * depth])
+    assert code == 0
+    deep = "(" * 5000 + "x1" + ")" * 5000
+    prob = tmp_path / "deep.prob"
+    prob.write_text(f"ring: p=5; vars=x1\nideal I: {deep};\n")
+    # the offending "(" is the first one past the cap: line 2 of the file,
+    # column 1 of the --poly text
+    for args, where in (
+        (["gb", str(prob)], f"line 2, column {len('ideal I: ') + depth + 1}"),
+        (["trace", F2X2, "--poly", deep], f"line 1, column {depth + 1}"),
+    ):
+        code, out, err = run_cli(args)
+        assert code == 2 and out == "" and where in err
+        code, payload = run_json(args)
+        assert code == 2 and payload["error"]["type"] == "ParseError"
+
+
+def test_subcommand_registries_agree():
+    assert tuple(SCHEMA["properties"]["command"]["enum"]) == cli.SUBCOMMANDS
+    readme = (REPO / "README.md").read_text()
+    listing = readme.split("Subcommands: ", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([a-z-]+)`", listing)) == cli.SUBCOMMANDS
