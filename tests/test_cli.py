@@ -270,6 +270,8 @@ def test_error_exit_codes(tmp_path):
     assert code == 2 and payload["error"]["type"] == "ParseError"
     code, payload = run_json(["gb", FDEF, "--budget-pairs", "1"])
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
+    code, payload = run_json(["nf", F2X2, "--poly", "x1^2147483647*x1"])
+    assert code == 2 and payload["error"]["type"] == "ExponentOverflowError"
 
 
 def test_order_override_flag():

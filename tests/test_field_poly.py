@@ -99,6 +99,44 @@ def test_exponent_overflow_rejected():
         R.monomial((fp.MAX_EXPONENT + 1,))
 
 
+@pytest.mark.parametrize(
+    "exps, error",
+    [
+        ((1,), fp.FieldPolyError),  # wrong length
+        ((1, 2, 3), fp.FieldPolyError),
+        ((-1, 0), fp.FieldPolyError),
+        ((1.0, 0), fp.FieldPolyError),
+        (("1", 0), fp.FieldPolyError),
+        ((0, fp.MAX_EXPONENT + 1), fp.ExponentOverflowError),
+    ],
+)
+def test_ring_entry_points_reject_bad_exponents(exps, error):
+    R = fp.ring_new(5, ["x", "y"])
+    with pytest.raises(error):
+        R.polynomial({(0, 0): 1, exps: 1})
+    with pytest.raises(error):
+        R.monomial(exps)
+
+
+def test_exponent_growth_overflow_rejected():
+    R = fp.ring_new(2, ["x", "y"])
+    top = R.polynomial({(fp.MAX_EXPONENT, 0): 1})
+    with pytest.raises(fp.ExponentOverflowError):
+        top * R.variable(0)
+    with pytest.raises(fp.ExponentOverflowError):
+        R.polynomial({(2**30, 0): 1}) ** 2
+    with pytest.raises(fp.ExponentOverflowError):
+        top.multiply_monomial(R.monomial((1, 0)))
+    with pytest.raises(fp.ExponentOverflowError):
+        R.monomial((fp.MAX_EXPONENT, 0)) * R.monomial((1, 0))
+    with pytest.raises(fp.ExponentOverflowError):
+        R.parse("x^2147483647*x")
+    # the cap applies per variable, and reaching it exactly is allowed
+    assert (top * R.variable(1)).terms_dict() == {(fp.MAX_EXPONENT, 1): 1}
+    assert top.multiply_monomial(R.monomial((0, 5))).terms_dict() == {(fp.MAX_EXPONENT, 5): 1}
+    assert R.parse("x^2147483647") == top
+
+
 # -- monomial orders --------------------------------------------------------------
 
 
