@@ -19,16 +19,10 @@ from .field_poly import (
     MonomialOrder,
     ParseError,
     Polynomial,
-    PrimeFieldElement,
     RingContext,
     RingMismatchError,
-    Term,
     ZeroPolynomialError,
-    compare,
     grevlex,
-    initial_w,
-    is_squarefree,
-    leading_term,
     lex,
     parse_order,
     ring_new,
@@ -63,7 +57,6 @@ from .ideal_ops import (
     symbolic_power_prime,
 )
 from .frobenius import (
-    SplittingCandidate,
     compatible_check,
     fedder_membership,
     fsplit_graded_test,

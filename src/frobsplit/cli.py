@@ -14,6 +14,7 @@ byte-deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,13 +236,23 @@ def _read(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} file: {exc}") from None
 
 
+def _budget_pairs(args) -> int:
+    """The pair budget from --budget-pairs or the environment; must be positive."""
+    source, text = "--budget-pairs", str(args.budget_pairs)
+    if args.budget_pairs is None:
+        source, text = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR) or str(DEFAULT_MAX_PAIRS)
+    try:
+        pairs = int(text)
+    except ValueError:
+        pairs = 0
+    if pairs < 1:
+        raise InputError(f"{source} must be a positive integer, got {text!r}")
+    return pairs
+
+
 def _context(args) -> Context:
     """Resolve what the handlers share; input errors surface in the order below."""
-    pairs = args.budget_pairs
-    if pairs is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        pairs = int(env) if env else DEFAULT_MAX_PAIRS
-    ctx = Context(args, Budget(max_pairs=pairs))
+    ctx = Context(args, Budget(max_pairs=_budget_pairs(args)))
     if "problem" not in args:
         return ctx
     pf = ctx.problem = parse_problem(_read(args.problem, "problem"))
@@ -289,8 +300,11 @@ def _certificate(ctx: Context, res, fields: dict, headline: str, exit_code: int 
     out = ctx.args.out
     verified = criteria.verify_certificate(res, ctx.budget) if ctx.args.verify else None
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(res.to_json())
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(res.to_json())
+        except OSError as exc:
+            raise InputError(f"cannot write certificate file: {exc}") from None
     result = {"certificate": res.data, **fields}
     lines = [headline, f"certificate kind: {res.kind}"]
     lines += [f"  {key}: {val}" for key, val in res.conclusion.items()]
@@ -553,7 +567,9 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="frobsplit",
         description="Groebner bases over prime fields and Frobenius-splitting "

@@ -3,8 +3,12 @@
 A ring ``F_p[x_1, ..., x_n]`` is a :class:`RingContext` fixing the prime
 characteristic and the variable names.  Monomials are dense exponent tuples,
 polynomials are immutable maps from exponent tuples to nonzero residues in
-``[1, p)``.  Everything is a value: objects never mutate after construction,
-so they are safe to share across threads.
+``[1, p)``; scalars are plain ``int`` residues.  Everything is a value:
+objects never mutate after construction, so they are safe to share across
+threads.  Outside input is checked once, by ``RingContext.polynomial`` and
+``RingContext.monomial``; the library builds everything else through the
+unchecked constructors, guarding only against exponent overflow where
+exponents add up.
 
 Monomial orders (lex, grevlex, weight vector with tiebreak) compare monomials
 through *additive integer key vectors*: ``key(m * m') == key(m) + key(m')``
@@ -109,24 +113,27 @@ class RingContext:
     def n(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise FieldPolyError(f"unknown variable {name!r}") from None
-
-    def element(self, value: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(self, value % self.p)
-
     def monomial(self, exponents) -> "Monomial":
-        return Monomial(self, tuple(exponents))
-
-    def monomial_one(self) -> "Monomial":
-        return Monomial(self, (0,) * self.n)
+        """Build a monomial from an exponent sequence, checking every exponent."""
+        exponents = tuple(exponents)
+        _check_exponents(self, exponents)
+        return Monomial(self, exponents)
 
     def polynomial(self, coeffs) -> "Polynomial":
-        """Build a polynomial from an exponent-tuple -> integer mapping."""
-        return Polynomial(self, coeffs)
+        """Build a polynomial from an exponent-tuple -> integer mapping.
+
+        With :meth:`monomial`, the only place where outside input is checked:
+        exponents are validated and coefficients reduced mod p.
+        """
+        p = self.p
+        clean: dict[tuple, int] = {}
+        for exps, c in dict(coeffs).items():
+            exps = tuple(exps)
+            _check_exponents(self, exps)
+            c = c % p
+            if c:
+                clean[exps] = c
+        return Polynomial(self, clean)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -135,7 +142,7 @@ class RingContext:
         return Polynomial(self, {(0,) * self.n: 1})
 
     def constant(self, c: int) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.n: c})
+        return self.polynomial({(0,) * self.n: c})
 
     def variable(self, i: int) -> "Polynomial":
         e = [0] * self.n
@@ -169,81 +176,6 @@ def ring_new(p: int, var_names) -> RingContext:
     return RingContext(p, tuple(var_names))
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """A residue in F_p; the modulus lives on the ring context."""
-
-    ring: RingContext
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.ring.p)
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.ring.p != self.ring.p:
-                raise RingMismatchError("elements of different prime fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.ring.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.ring, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.ring, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.ring, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(self.ring, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return PrimeFieldElement(self.ring, self.value * pow(v, -1, self.ring.p))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PrimeFieldElement(self.ring, pow(self.value, k, self.ring.p))
-
-    def __neg__(self):
-        return PrimeFieldElement(self.ring, -self.value)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return PrimeFieldElement(self.ring, pow(self.value, -1, self.ring.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-
 def _check_exponents(ring: RingContext, exponents: tuple) -> None:
     if len(exponents) != ring.n:
         raise FieldPolyError(
@@ -256,16 +188,19 @@ def _check_exponents(ring: RingContext, exponents: tuple) -> None:
             raise ExponentOverflowError(f"exponent {e} exceeds MAX_EXPONENT")
 
 
+def _check_growth(exponent_tuples) -> None:
+    """Overflow guard for the operations that add exponents."""
+    top = max(map(max, exponent_tuples), default=0)
+    if top > MAX_EXPONENT:
+        raise ExponentOverflowError(f"exponent {top} exceeds MAX_EXPONENT")
+
+
 @dataclass(frozen=True)
 class Monomial:
-    """A power product, stored as a dense exponent tuple."""
+    """A power product, stored as a dense exponent tuple (trusted: see RingContext.monomial)."""
 
     ring: RingContext
     exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        _check_exponents(self.ring, self.exponents)
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -278,7 +213,9 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.ring != other.ring:
             raise RingMismatchError("monomials from different rings")
-        return Monomial(self.ring, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        exps = tuple(a + b for a, b in zip(self.exponents, other.exponents))
+        _check_growth((exps,))
+        return Monomial(self.ring, exps)
 
     def divides(self, other: "Monomial") -> bool:
         if self.ring != other.ring:
@@ -311,11 +248,6 @@ class Monomial:
     __str__ = text
 
 
-def is_squarefree(m: Monomial) -> bool:
-    """True iff every exponent of the monomial is at most 1."""
-    return m.is_squarefree()
-
-
 def monomial_text(ring: RingContext, exponents) -> str:
     parts = []
     for name, e in zip(ring.names, exponents):
@@ -326,35 +258,23 @@ def monomial_text(ring: RingContext, exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Term:
-    """A monomial together with its nonzero coefficient."""
-
-    monomial: Monomial
-    coefficient: PrimeFieldElement
-
-
 class Polynomial:
     """Immutable sparse polynomial with F_p coefficients.
 
     Internally a dict from exponent tuple to residue in ``[1, p)``; zero
     coefficients are never stored and the zero polynomial has no terms.
     Equality is term-set equality, independent of any monomial order.
+
+    The constructor trusts its input and keeps ``coeffs``, a fresh dict of
+    exactly that form with exponents in ``[0, MAX_EXPONENT]``; outside input
+    goes through ``RingContext.polynomial``.
     """
 
     __slots__ = ("ring", "_coeffs", "_hash")
 
-    def __init__(self, ring: RingContext, coeffs):
-        p = ring.p
-        clean: dict[tuple, int] = {}
-        for exps, c in dict(coeffs).items():
-            exps = tuple(exps)
-            _check_exponents(ring, exps)
-            c = c % p
-            if c:
-                clean[exps] = c
+    def __init__(self, ring: RingContext, coeffs: dict[tuple, int]):
         self.ring = ring
-        self._coeffs = clean
+        self._coeffs = coeffs
         self._hash = None
 
     # -- interrogation ----------------------------------------------------
@@ -377,9 +297,6 @@ class Polynomial:
         return tuple(
             Monomial(self.ring, e) for e in sorted(self._coeffs.keys())
         )
-
-    def coefficient(self, m: Monomial) -> PrimeFieldElement:
-        return PrimeFieldElement(self.ring, self._coeffs.get(m.exponents, 0))
 
     def constant_term(self) -> int:
         return self._coeffs.get((0,) * self.ring.n, 0)
@@ -427,8 +344,6 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        if isinstance(other, PrimeFieldElement):
-            return self.scale(other.value)
         self._same_ring(other)
         p = self.ring.p
         a, b = self._coeffs, other._coeffs
@@ -443,10 +358,11 @@ class Polynomial:
                     out[e] = v
                 else:
                     out.pop(e, None)
+        _check_growth(out)
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, PrimeFieldElement)):
+        if isinstance(other, int):
             return self.__mul__(other)
         return NotImplemented
 
@@ -478,10 +394,9 @@ class Polynomial:
             return self.ring.zero()
         p = self.ring.p
         me = m.exponents
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, me)): (v * c) % p for e, v in self._coeffs.items()},
-        )
+        out = {tuple(a + b for a, b in zip(e, me)): (v * c) % p for e, v in self._coeffs.items()}
+        _check_growth(out)
+        return Polynomial(self.ring, out)
 
     def substitute(self, i: int, value: int) -> "Polynomial":
         """Substitute variable i by a field constant (stays in the same ring)."""
@@ -500,24 +415,18 @@ class Polynomial:
 
     # -- order-dependent views ----------------------------------------------
 
-    def leading_term(self, order) -> Term:
+    def leading_term(self, order) -> tuple[Monomial, int]:
+        """The maximal monomial under the order and its coefficient."""
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        key = order.key
-        e = max(self._coeffs, key=key)
-        return Term(Monomial(self.ring, e), PrimeFieldElement(self.ring, self._coeffs[e]))
+        e = max(self._coeffs, key=order.key)
+        return Monomial(self.ring, e), self._coeffs[e]
 
     def leading_monomial(self, order) -> Monomial:
-        return self.leading_term(order).monomial
+        return self.leading_term(order)[0]
 
-    def leading_coefficient(self, order) -> PrimeFieldElement:
-        return self.leading_term(order).coefficient
-
-    def monic(self, order) -> "Polynomial":
-        lc = self.leading_term(order).coefficient.value
-        if lc == 1:
-            return self
-        return self.scale(pow(lc, -1, self.ring.p))
+    def leading_coefficient(self, order) -> int:
+        return self.leading_term(order)[1]
 
     def initial_w(self, weights) -> "Polynomial":
         """Sum of the terms of maximal weighted degree."""
@@ -659,17 +568,6 @@ class EliminationOrder:
     def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         return (exps[-1],) + self.base.key(exps[:-1])
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a.exponents), self.key(b.exponents)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
-
-    def text(self) -> str:
-        return f"eliminate-last({self.base.text()})"
-
 
 def lex() -> MonomialOrder:
     return MonomialOrder("lex")
@@ -681,21 +579,6 @@ def grevlex() -> MonomialOrder:
 
 def weight_order(weights, tiebreak: str = "grevlex") -> MonomialOrder:
     return MonomialOrder("weight", tuple(weights), tiebreak)
-
-
-def compare(order, a: Monomial, b: Monomial) -> int:
-    """Total-order comparison of two monomials; returns LT, EQ or GT."""
-    return order.compare(a, b)
-
-
-def leading_term(f: Polynomial, order) -> Term:
-    """Maximal term of a nonzero polynomial under the order."""
-    return f.leading_term(order)
-
-
-def initial_w(f: Polynomial, weights) -> Polynomial:
-    """Sum of the terms of f with maximal weighted degree."""
-    return f.initial_w(weights)
 
 
 def order_for_weight_refinement(weights, order) -> MonomialOrder:

@@ -45,7 +45,7 @@ def trace(g: Polynomial) -> Polynomial:
                 out[ne] = v
             else:
                 out.pop(ne, None)
-    return ring.polynomial(out)
+    return Polynomial(ring, out)
 
 
 def star_apply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -55,12 +55,12 @@ def star_apply(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def top_monomial(ring: RingContext) -> Monomial:
     """The monomial x_1^(p-1) ... x_n^(p-1)."""
-    return ring.monomial((ring.p - 1,) * ring.n)
+    return Monomial(ring, (ring.p - 1,) * ring.n)
 
 
 def standard_splitting_carrier(ring: RingContext) -> Polynomial:
     """Carrier of the standard splitting, the top monomial itself."""
-    return ring.polynomial({top_monomial(ring).exponents: 1})
+    return Polynomial(ring, {top_monomial(ring).exponents: 1})
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,6 @@ def is_splitting(f: Polynomial) -> SplittingCheck:
             f"top monomial has coefficient {c}, expected 1",
         )
     return SplittingCheck(True)
-
-
-@dataclass(frozen=True)
-class SplittingCandidate:
-    """A map F_*S -> S presented by its carrier polynomial."""
-
-    carrier: Polynomial
-
-    @property
-    def ring(self) -> RingContext:
-        return self.carrier.ring
-
-    def apply(self, g: Polynomial) -> Polynomial:
-        return star_apply(self.carrier, g)
-
-    def is_splitting(self) -> SplittingCheck:
-        return is_splitting(self.carrier)
-
-    def iterate(self, g: Polynomial, n: int) -> Polynomial:
-        return trace_iterate(self.carrier, g, n)
 
 
 def trace_iterate(f: Polynomial, g: Polynomial, n: int) -> Polynomial:
@@ -172,7 +152,7 @@ def compatible_check(
         )
     for g in J.generators:
         for a in product(range(p), repeat=ring.n):
-            shifted = g.multiply_monomial(ring.monomial(a))
+            shifted = g.multiply_monomial(Monomial(ring, a))
             image = trace(f * shifted)
             if image and not member(image, J, order, budget):
                 return False

@@ -60,7 +60,7 @@ def _to_terms(f: Polynomial, keyf):
 
 
 def _from_terms(ring: RingContext, terms) -> Polynomial:
-    return ring.polynomial({e: c for _, e, c in terms})
+    return Polynomial(ring, {e: c for _, e, c in terms})
 
 
 def _monic_terms(terms, p):

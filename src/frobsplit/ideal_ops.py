@@ -51,7 +51,7 @@ class ImproperIdealError(FieldPolyError):
 
 def embed(f: Polynomial, ext: RingContext) -> Polynomial:
     """View a base-ring polynomial inside a one-variable extension."""
-    return ext.polynomial({e + (0,): c for e, c in f.terms_dict().items()})
+    return Polynomial(ext, {e + (0,): c for e, c in f.terms_dict().items()})
 
 
 def project_last(f: Polynomial, base: RingContext) -> Polynomial:
@@ -61,7 +61,7 @@ def project_last(f: Polynomial, base: RingContext) -> Polynomial:
         if e[-1] != 0:
             raise FieldPolyError("polynomial involves the variable being dropped")
         out[e[:-1]] = c
-    return base.polynomial(out)
+    return Polynomial(base, out)
 
 
 def _aux_ring(ring: RingContext) -> RingContext:
@@ -108,17 +108,17 @@ def exact_divide(g: Polynomial, f: Polynomial, order) -> Polynomial:
         raise ZeroPolynomialError("division by the zero polynomial")
     ring = g.ring
     p = ring.p
-    lt_f = f.leading_term(order)
-    inv_lc = pow(lt_f.coefficient.value, -1, p)
+    lm_f, lc_f = f.leading_term(order)
+    inv_lc = pow(lc_f, -1, p)
     quotient = ring.zero()
     rest = g
     while rest:
-        lt_r = rest.leading_term(order)
-        if not lt_f.monomial.divides(lt_r.monomial):
+        lm_r, lc_r = rest.leading_term(order)
+        if not lm_f.divides(lm_r):
             raise FieldPolyError("inexact polynomial division")
-        shift = lt_r.monomial.divide(lt_f.monomial)
-        c = (lt_r.coefficient.value * inv_lc) % p
-        q = ring.polynomial({shift.exponents: c})
+        shift = lm_r.divide(lm_f)
+        c = (lc_r * inv_lc) % p
+        q = Polynomial(ring, {shift.exponents: c})
         quotient = quotient + q
         rest = rest - f.multiply_monomial(shift, c)
     return quotient
@@ -274,7 +274,7 @@ def dehomogenize(F: Polynomial) -> Polynomial:
             out[ne] = v
         else:
             out.pop(ne, None)
-    return ring.base.polynomial(out)
+    return Polynomial(ring.base, out)
 
 
 def dehomogenize_ideal(H: IdealPresentation) -> IdealPresentation:
@@ -302,7 +302,7 @@ def fiber_at_zero(H: IdealPresentation) -> IdealPresentation:
     gens = []
     for F in H.generators:
         kept = {e[:-1]: c for e, c in F.terms_dict().items() if e[-1] == 0}
-        g = base.polynomial(kept)
+        g = Polynomial(base, kept)
         if g:
             gens.append(g)
     return IdealPresentation(base, tuple(gens))

@@ -288,6 +288,27 @@ def test_budget_env_variable(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_budget_must_be_a_positive_integer(monkeypatch):
+    for value in ("0", "-1"):
+        code, payload = run_json(["gb", F2X2, "--budget-pairs", value])
+        assert code == 2 and payload["error"]["type"] == "InputError"
+        assert "--budget-pairs must be a positive integer" in payload["error"]["message"]
+    for value in ("0", "-1", "abc"):
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, value)
+        code, payload = run_json(["gb", F2X2])
+        assert code == 2 and payload["error"]["type"] == "InputError"
+        assert f"{cli.BUDGET_ENV_VAR} must be a positive integer" in payload["error"]["message"]
+
+
+def test_unwritable_certificate_path_is_an_input_error(tmp_path):
+    out = str(tmp_path / "missing" / "cert.json")
+    code, payload = run_json(["charp-cert", F2X2, "--out", out])
+    assert code == 2 and payload["error"]["type"] == "InputError"
+    assert "cannot write certificate file" in payload["error"]["message"]
+    code, stdout, stderr = run_cli(["charp-cert", F2X2, "--out", out])
+    assert code == 2 and stdout == "" and stderr.startswith("error: cannot write certificate file")
+
+
 def test_console_script_subprocess():
     # one end-to-end spawn to check packaging and argv handling
     proc = subprocess.run(

@@ -40,47 +40,14 @@ def test_ring_extend_picks_fresh_name():
     assert ext.base == R
 
 
-# -- field arithmetic -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_field_axioms_and_inverses(p):
-    R = fp.ring_new(p, ["x"])
-    elements = [R.element(v) for v in range(p)]
-    for a in elements:
-        assert (a + R.element(0)).value == a.value
-        assert (a * R.element(1)).value == a.value
-        assert (a + (-a)).value == 0
-        if a.value:
-            # a * a^(p-2) = 1
-            assert (a * a ** (p - 2)).value == 1
-            assert (a * a.inverse()).value == 1
-        # Frobenius is the identity on the prime field
-        assert (a ** p).value == a.value
-    rng = random.Random(p)
-    for _ in range(50):
-        a, b, c = (R.element(rng.randrange(p)) for _ in range(3))
-        assert ((a + b) + c).value == (a + (b + c)).value
-        assert ((a * b) * c).value == (a * (b * c)).value
-        assert (a * (b + c)).value == (a * b + a * c).value
-
-
-def test_division_by_zero_rejected():
-    R = fp.ring_new(5, ["x"])
-    with pytest.raises(ZeroDivisionError):
-        R.element(0).inverse()
-    with pytest.raises(ZeroDivisionError):
-        R.element(3) / R.element(0)
-
-
 # -- monomials -------------------------------------------------------------------
 
 
 def test_monomial_squarefree():
     R = fp.ring_new(2, ["x1", "x2", "x3"])
-    assert fp.is_squarefree(R.monomial((1, 1, 1)))
-    assert not fp.is_squarefree(R.monomial((2, 0, 0)))
-    assert fp.is_squarefree(R.monomial((0, 0, 0)))  # the empty product
+    assert R.monomial((1, 1, 1)).is_squarefree()
+    assert not R.monomial((2, 0, 0)).is_squarefree()
+    assert R.monomial((0, 0, 0)).is_squarefree()  # the empty product
 
 
 def test_monomial_divide_and_lcm():
@@ -142,7 +109,7 @@ def test_exponent_growth_overflow_rejected():
 
 def test_lex_basic():
     R = fp.ring_new(2, ["x1", "x2"])
-    assert fp.compare(fp.lex(), R.monomial((1, 0)), R.monomial((0, 1))) == fp.GT
+    assert fp.lex().compare(R.monomial((1, 0)), R.monomial((0, 1))) == fp.GT
 
 
 def test_grevlex_degree_two_enumeration():
@@ -168,7 +135,7 @@ def test_grevlex_degree_two_enumeration():
     assert got == oracle
     assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     # in particular x2^2 > x1*x3
-    assert fp.compare(fp.grevlex(), R.monomial((0, 2, 0)), R.monomial((1, 0, 1))) == fp.GT
+    assert fp.grevlex().compare(R.monomial((0, 2, 0)), R.monomial((1, 0, 1))) == fp.GT
 
 
 def test_weight_order_tiebreak():
@@ -193,7 +160,7 @@ def test_compare_rejects_ring_mismatch():
     a = fp.ring_new(2, ["x", "y"]).monomial((1, 0))
     b = fp.ring_new(3, ["x", "y"]).monomial((1, 0))
     with pytest.raises(fp.RingMismatchError):
-        fp.compare(fp.lex(), a, b)
+        fp.lex().compare(a, b)
     with pytest.raises(fp.FieldPolyError):
         fp.weight_order((1, 1), "lex").key((1, 0, 0))
 
@@ -250,23 +217,23 @@ def test_zero_coefficients_never_stored():
 def test_leading_term_examples():
     R = fp.ring_new(5, ["x1", "x2", "x3", "x4"])
     f = R.parse("x1*x4 - x2*x3")
-    lt = fp.leading_term(f, fp.lex())
-    assert lt.monomial.exponents == (1, 0, 0, 1)
-    assert lt.coefficient.value == 1
+    lm, lc = f.leading_term(fp.lex())
+    assert lm.exponents == (1, 0, 0, 1)
+    assert lc == 1
     # constants have the empty monomial
     c = fp.ring_new(5, ["x"]).parse("3")
-    assert fp.leading_term(c, fp.lex()).coefficient.value == 3
+    assert c.leading_term(fp.lex()) == (fp.ring_new(5, ["x"]).monomial((0,)), 3)
     with pytest.raises(fp.ZeroPolynomialError):
-        fp.leading_term(fp.ring_new(5, ["x"]).zero(), fp.lex())
+        fp.ring_new(5, ["x"]).zero().leading_term(fp.lex())
 
 
 def test_leading_term_never_low_weight_term():
     R = fp.ring_new(5, ["x1", "x2", "x3", "x4", "x5"])
     f = R.parse("x4^4 + x4^2*x5^3 - x1*x3")
     order = fp.weight_order((6, 24, 6, 3, 1), "grevlex")
-    lt = f.leading_term(order)
-    assert lt.monomial.exponents != (0, 0, 0, 2, 3)  # weighted degree 9 < 12
-    assert lt.monomial.weighted_degree((6, 24, 6, 3, 1)) == 12
+    lm, _ = f.leading_term(order)
+    assert lm.exponents != (0, 0, 0, 2, 3)  # weighted degree 9 < 12
+    assert lm.weighted_degree((6, 24, 6, 3, 1)) == 12
 
 
 def test_initial_w_examples():

@@ -99,16 +99,6 @@ def test_is_splitting_iff_trace_is_one():
         assert fr.is_splitting(f).ok == (fr.trace(f) == R.one())
 
 
-def test_splitting_candidate_wrapper():
-    R = fp.ring_new(2, ["x", "y"])
-    cand = fr.SplittingCandidate(fr.standard_splitting_carrier(R))
-    assert cand.is_splitting().ok
-    assert cand.apply(R.parse("x^3*y")).is_zero is False or True  # apply works
-    # non-splitting candidates are legal objects
-    bad = fr.SplittingCandidate(R.parse("x"))
-    assert not bad.is_splitting().ok
-
-
 # -- trace iteration -------------------------------------------------------------
 
 
@@ -286,7 +276,7 @@ def test_leading_top_monomial_forces_a_splitting():
             if order.key(e) < top_key and e != top:
                 coeffs[e] = rng.randint(1, p - 1)
         f = R.polynomial(coeffs)
-        assert f.leading_term(order).monomial.exponents == top
+        assert f.leading_monomial(order).exponents == top
         assert fr.is_splitting(f).ok
 
 
