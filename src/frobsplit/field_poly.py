@@ -123,13 +123,16 @@ class RingContext:
         """Build a polynomial from an exponent-tuple -> integer mapping.
 
         With :meth:`monomial`, the only place where outside input is checked:
-        exponents are validated and coefficients reduced mod p.
+        exponents are validated, coefficients must be ``int`` and are reduced
+        mod p.
         """
         p = self.p
         clean: dict[tuple, int] = {}
         for exps, c in dict(coeffs).items():
             exps = tuple(exps)
             _check_exponents(self, exps)
+            if not isinstance(c, int):
+                raise FieldPolyError(f"invalid coefficient {c!r}")
             c = c % p
             if c:
                 clean[exps] = c

@@ -7,9 +7,13 @@ additive key vector.  Division keeps the active terms in a dict plus a lazy
 max-heap of keys, so each reduction step costs one heap pop plus one shifted
 merge of the reducer tail.
 
-Pair selection is the normal strategy (minimal lcm degree, then lcm key),
-with Buchberger's coprimality and chain criteria applied when a pair is
-popped.  The output is the unique reduced Groebner basis, so the result is
+Pairs are filtered when they are created, by the installation of Gebauer
+and Moeller: each new element drops the queued pairs it makes redundant
+(criterion B), keeps one new pair per minimal lcm and none whose leading
+monomials are coprime (criteria M and F), and retires every element whose
+leading monomial it divides.  Every pair that survives to be popped is
+reduced; pairs are popped by the normal strategy (minimal lcm degree, then
+lcm key).  The output is the unique reduced Groebner basis, so the result is
 independent of the selection strategy; a private hook lets tests randomize
 selection to check exactly that.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import le
 
 from .field_poly import (
     FieldPolyError,
@@ -73,6 +78,14 @@ def _monic_terms(terms, p):
 
 def _neg_key(key):
     return tuple(-x for x in key)
+
+
+def _divides(a, b) -> bool:
+    return all(map(le, a, b))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def _mask(exps) -> int:
@@ -153,7 +166,7 @@ def _spoly_terms(fa, fb, p, keyf):
     """S-pair combination of two monic kernel polynomials."""
     _, ea, ca = fa[0]
     _, eb, cb = fb[0]
-    lcm = tuple(max(a, b) for a, b in zip(ea, eb))
+    lcm = _lcm(ea, eb)
     da = tuple(l - a for l, a in zip(lcm, ea))
     db = tuple(l - b for l, b in zip(lcm, eb))
     inv_a = pow(ca, -1, p)
@@ -181,108 +194,112 @@ def _spoly_terms(fa, fb, p, keyf):
 def _buchberger(inputs, keyf, p, budget: Budget, pair_noise=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
-    ``pair_noise`` is a test-only hook: a callable mapping a pair to an extra
-    leading component of its selection key, used to scramble the strategy and
-    exercise the uniqueness of the reduced basis.
+    Pairs are installed by the Gebauer-Moeller update, so every pair left in
+    the queue is reduced when popped.  ``pair_noise`` is a test-only hook: a
+    callable mapping a pair to an extra leading component of its selection
+    key, used to scramble the strategy and exercise the uniqueness of the
+    reduced basis.
     """
     basis = []
     reducers = []
+    active = []
+    heap = []
 
-    def add(terms):
+    def install(terms):
+        """Add one element and update the pair queue and the active set."""
+        nonlocal heap, active
+        h = len(basis)
         terms = _monic_terms(terms, p)
         basis.append(terms)
-        reducers.append(_Reducer(terms, p))
-        return len(basis) - 1
+        red = _Reducer(terms, p)
+        reducers.append(red)
+        lh, mh = red.lm, red.mask
+        # criterion B: drop a queued (i, j) when lm(h) divides lcm(i, j) and
+        # both lcm(i, h) and lcm(j, h) properly divide it
+        kept = []
+        for pair in heap:
+            _, i, j, lcm, mask = pair
+            if (
+                mh & ~mask
+                or not _divides(lh, lcm)
+                or _lcm(reducers[i].lm, lh) == lcm
+                or _lcm(reducers[j].lm, lh) == lcm
+            ):
+                kept.append(pair)
+        if len(kept) < len(heap):
+            heap = kept
+            heapq.heapify(heap)
+        # criteria M and F on the new pairs (g, h), as in Gebauer and
+        # Moeller: a pair goes when another surviving new pair's lcm divides
+        # its own; a coprime pair is never dropped here, so it still removes
+        # the pairs it covers, and is itself dropped afterwards
+        new = []
+        for g in active:
+            rg = reducers[g]
+            new.append((_lcm(rg.lm, lh), rg.mask | mh, g, not rg.mask & mh))
+        alive = [True] * len(new)
+        for a, (lcm, mask, _, coprime) in enumerate(new):
+            if coprime:
+                continue
+            for b, (lcm_b, mask_b, _, _) in enumerate(new):
+                if b != a and alive[b] and not mask_b & ~mask and _divides(lcm_b, lcm):
+                    alive[a] = False
+                    break
+        for (lcm, mask, g, coprime), ok in zip(new, alive):
+            if ok and not coprime:
+                sel = (sum(lcm), keyf(lcm), g, h)
+                if pair_noise is not None:
+                    sel = (pair_noise((g, h)),) + sel
+                heapq.heappush(heap, (sel, g, h, lcm, mask))
+        # an element whose leading monomial lm(h) divides is no longer needed
+        # as a reducer or as a partner of later pairs
+        active = [
+            g for g in active if mh & ~reducers[g].mask or not _divides(lh, reducers[g].lm)
+        ]
+        active.append(h)
 
     for terms in inputs:
         if terms:
-            add(terms)
-
-    pending: set[tuple[int, int]] = set()
-    heap = []
-
-    def push_pair(i, j):
-        if i > j:
-            i, j = j, i
-        ei, ej = basis[i][0][1], basis[j][0][1]
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        sel = (sum(lcm), keyf(lcm), i, j)
-        if pair_noise is not None:
-            sel = (pair_noise((i, j)),) + sel
-        heapq.heappush(heap, (sel, i, j, lcm))
-        pending.add((i, j))
-
-    m = len(basis)
-    for j in range(m):
-        for i in range(j):
-            push_pair(i, j)
+            install(terms)
 
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        ei, ej = basis[i][0][1], basis[j][0][1]
-        # coprimality criterion: disjoint leading supports reduce to zero
-        if all(a + b == l for a, b, l in zip(ei, ej, lcm)):
-            continue
-        # chain criterion: a third element divides the lcm and both of its
-        # pairs with i and j have already been treated
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            lk = basis[k][0][1]
-            if all(a <= b for a, b in zip(lk, lcm)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+        _, i, j, _, _ = heapq.heappop(heap)
         processed += 1
         if processed > budget.max_pairs:
             raise ResourceLimitError(
                 f"pair budget of {budget.max_pairs} exceeded", processed
             )
         s = _spoly_terms(basis[i], basis[j], p, keyf)
-        r = _reduce(s, reducers, p)
+        r = _reduce(s, [reducers[g] for g in active], p)
         if not r:
             continue
         if budget.max_degree is not None and sum(r[0][1]) > budget.max_degree:
             raise ResourceLimitError(
                 f"degree budget of {budget.max_degree} exceeded", processed
             )
-        new = add(r)
-        for k in range(new):
-            push_pair(k, new)
+        install(r)
 
-    return _autoreduce(basis, keyf, p), processed
+    return _autoreduce([basis[g] for g in active], p), processed
 
 
-def _autoreduce(basis, keyf, p):
-    """Minimalize and tail-reduce a Groebner basis; sort ascending by lm."""
-    keep = []
-    for i, terms in enumerate(basis):
-        lm = terms[0][1]
-        redundant = False
-        for j, other in enumerate(basis):
-            if i == j:
-                continue
-            lo = other[0][1]
-            if all(a <= b for a, b in zip(lo, lm)):
-                if lo != lm or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(terms)
-    reduced = []
-    for idx, terms in enumerate(keep):
-        others = [_Reducer(t, p) for k, t in enumerate(keep) if k != idx]
-        r = _reduce(terms, others, p)
-        reduced.append(_monic_terms(r, p))
+def _autoreduce(basis, p):
+    """Minimalize and tail-reduce a Groebner basis; sort ascending by lm.
+
+    One reducer list serves every element: a leading monomial divides no
+    smaller term, so an element's own reducer never fires on its tail.
+    """
+    lms = [(t[0][1], _mask(t[0][1])) for t in basis]
+    keep = [
+        _monic_terms(basis[i], p)
+        for i, (lm, mask) in enumerate(lms)
+        if not any(
+            j != i and not mo & ~mask and _divides(lo, lm) and (lo != lm or j < i)
+            for j, (lo, mo) in enumerate(lms)
+        )
+    ]
+    reducers = [_Reducer(t, p) for t in keep]
+    reduced = [t[:1] + _reduce(t[1:], reducers, p) for t in keep]
     reduced.sort(key=lambda t: t[0][0])
     return reduced
 
@@ -457,7 +474,7 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     p = ring.p
     keyf = order.key
     terms = [_to_terms(g, keyf) for g in elements if g]
-    basis = _autoreduce(terms, keyf, p)
+    basis = _autoreduce(terms, p)
     gb = ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis))
     pres = IdealPresentation(ring, gb.elements)
     pres._gb_cache[order] = gb

@@ -85,6 +85,15 @@ def test_ring_entry_points_reject_bad_exponents(exps, error):
         R.monomial(exps)
 
 
+@pytest.mark.parametrize("coeff", [1.5, "1", 2.0])
+def test_ring_polynomial_rejects_non_int_coefficients(coeff):
+    R = fp.ring_new(5, ["x", "y"])
+    with pytest.raises(fp.FieldPolyError, match="invalid coefficient"):
+        R.polynomial({(1, 0): coeff})
+    with pytest.raises(fp.FieldPolyError, match="invalid coefficient"):
+        R.constant(coeff)
+
+
 def test_exponent_growth_overflow_rejected():
     R = fp.ring_new(2, ["x", "y"])
     top = R.polynomial({(fp.MAX_EXPONENT, 0): 1})

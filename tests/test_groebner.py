@@ -1,12 +1,15 @@
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
+from frobsplit import cli
 from frobsplit import field_poly as fp
 from frobsplit import groebner as gb
 from frobsplit import oracle
 
-from conftest import deformed_minors_ideal, random_polynomial
+from conftest import FIXTURES, deformed_minors_ideal, random_polynomial
 
 
 def test_s_polynomial_examples(ring_xy5):
@@ -104,26 +107,80 @@ def test_zero_ideal_gb_empty():
     assert gb.initial_ideal(gb.ideal(R, []), fp.lex()).is_zero
 
 
+def _selection_cases():
+    """Ideals whose runs reach each pair criterion and the active-set pruning."""
+    R3 = fp.ring_new(3, ["x", "y", "z"])
+    R5 = fp.ring_new(5, ["x", "y", "z"])
+    f, g, h = R5.parse("x^2*y - z^2"), R5.parse("y^2 - x*z"), R5.parse("x*z^2 - y*z")
+    problem = cli.parse_problem((FIXTURES / "deformed_minors.prob").read_text())
+    return [
+        (R3, [R3.parse("x^2*y - z^2"), R3.parse("y^2 - x*z"), R3.parse("x*z^2 - y*z")]),
+        # duplicate and scalar-multiple generators
+        (R5, [f, g, 2 * f, f, 3 * g, h]),
+        # the last leading monomial divides the earlier ones
+        (R5, [R5.parse("x^3*y + z"), R5.parse("x^2*y^2 - z^2"), R5.parse("x*y - z")]),
+        # the third generator's two new pairs share the lcm x*y*z
+        (R3, [R3.parse("x*y - 1"), R3.parse("x*z - 1"), R3.parse("y*z - 1")]),
+        # coprime leading monomials x^2 and y^2
+        (R5, [R5.parse("x^2 - y"), R5.parse("y^2 - z"), R5.parse("x*z^2 - 1")]),
+        (problem.ring, list(problem.ideals["I"].generators)),
+    ]
+
+
 def test_gb_determinism_under_randomized_selection():
     # the reduced basis is unique, so scrambling pair selection changes nothing
-    R = fp.ring_new(3, ["x", "y", "z"])
-    o = fp.grevlex()
-    gens = [R.parse("x^2*y - z^2"), R.parse("y^2 - x*z"), R.parse("x*z^2 - y*z")]
-    I = gb.ideal(R, gens)
-    reference = gb.reduced_gb(I, o)
     rng = random.Random(99)
-    for _ in range(6):
-        noise = {}
+    for R, gens in _selection_cases():
+        for o in [fp.grevlex(), fp.lex()]:
+            reference = gb.reduced_gb(gb.ideal(R, gens), o)
+            for _ in range(6):
+                noise = {}
 
-        def pair_noise(pair, noise=noise):
-            if pair not in noise:
-                noise[pair] = rng.random()
-            return noise[pair]
+                def pair_noise(pair, noise=noise):
+                    if pair not in noise:
+                        noise[pair] = rng.random()
+                    return noise[pair]
 
-        again = gb.reduced_gb(gb.ideal(R, gens), o, _pair_noise=pair_noise)
-        assert again.elements == reference.elements
-        texts = [g.text(o) for g in again.elements]
-        assert texts == [g.text(o) for g in reference.elements]
+                again = gb.reduced_gb(gb.ideal(R, gens), o, _pair_noise=pair_noise)
+                assert again.elements == reference.elements
+                texts = [g.text(o) for g in again.elements]
+                assert texts == [g.text(o) for g in reference.elements]
+
+
+def test_presentation_from_gb_matches_reduced_gb():
+    # a padded basis (scalar multiples, multiples m*g, unreduced tails) of an
+    # ideal minimalizes and tail-reduces to its reduced basis
+    for R, gens in _selection_cases():
+        x = R.variable(0)
+        for o in [fp.grevlex(), fp.lex()]:
+            G = list(gb.reduced_gb(gb.ideal(R, gens), o).elements)
+            # g_i + g_(i-1) keeps the leading monomial of g_i but not its tail
+            padded = [a + b for a, b in zip(G[1:], G)]
+            padded += [3 * g for g in G] + [x * g for g in G] + G
+            for elements in (padded, padded[::-1]):
+                pres = gb.presentation_from_gb(R, elements, o)
+                assert pres.generators == tuple(G)
+                assert gb.reduced_gb(pres, o).elements == tuple(G)
+
+
+@pytest.mark.parametrize(
+    "fixture, pairs", [("minors_2x3.prob", 99), ("pentagon_edge.prob", 2490)]
+)
+def test_fsplit_pairs_reduced_pinned(monkeypatch, fixture, pairs):
+    # deterministic regression signal for the pair criteria: S-pairs that
+    # survive the criteria and are reduced, summed over every kernel run
+    counts = []
+    kernel = gb._buchberger
+
+    def counting(*args, **kwargs):
+        basis, processed = kernel(*args, **kwargs)
+        counts.append(processed)
+        return basis, processed
+
+    monkeypatch.setattr(gb, "_buchberger", counting)
+    with redirect_stdout(io.StringIO()):
+        cli.main(["fsplit", str(FIXTURES / fixture)])
+    assert sum(counts) == pairs
 
 
 def test_gb_spolys_reduce_to_zero():
