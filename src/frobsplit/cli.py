@@ -53,6 +53,19 @@ class InputError(FieldPolyError):
     """Problem-level input error (unknown ideal, missing witness, ...)."""
 
 
+class UsageError(InputError):
+    """A command line the argument parser rejects; ``parser`` is the one that did."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message, self)
+
+
 # -- problem files ---------------------------------------------------------------
 
 
@@ -485,7 +498,7 @@ def cmd_verify_cert(ctx: Context) -> Outcome:
     text = _read(ctx.args.certificate, "certificate")
     try:
         cert = criteria.Certificate.from_json(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep to decode
         raise InputError(f"invalid certificate JSON: {exc}") from None
     report = criteria.replay(cert, ctx.budget)
     steps = [
@@ -493,11 +506,12 @@ def cmd_verify_cert(ctx: Context) -> Outcome:
         for s in report.steps
     ]
     human = [f"certificate kind: {cert.kind}", f"steps replayed: {len(steps)}"]
-    for s in report.steps:
-        mark = "ok" if (s.consistent and s.recomputed_ok) else "MISMATCH"
-        human.append(f"  [{s.index}] {s.op}: {mark}")
-    human.append("verified")  # the verdict line, completed by _verdict
+    human += [f"  [{s.index}] {s.op}: {'ok' if s.recomputed_ok else 'MISMATCH'}" for s in report.steps]
     result = {"kind": cert.kind, "verified": report.ok, "steps": steps}
+    if report.failed:
+        result["failed"] = report.failed
+        human.append(f"failed obligation: {report.failed}")
+    human.append("verified")  # the verdict line, completed by _verdict
     return _verdict("\n".join(human), report.ok, result)
 
 
@@ -570,7 +584,7 @@ SUBCOMMANDS = tuple(_COMMANDS)
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (``parse_args`` leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobsplit",
         description="Groebner bases over prime fields and Frobenius-splitting "
         "certificates for squarefree initial ideals.",
@@ -594,10 +608,16 @@ def _emit(args, code: int, body: dict, human: str, stream) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        outcome = handler(_context(args))
+        args = build_parser().parse_args(argv)
+        outcome = _COMMANDS[args.command][0](_context(args))
+    except UsageError as exc:
+        # under --json a known subcommand reports its usage errors in the envelope
+        command = next((a for a in argv if not a.startswith("-")), None)
+        if "--json" not in argv or command not in _COMMANDS:
+            argparse.ArgumentParser.error(exc.parser, str(exc))  # usage on stderr, exit 2
+        args, code, error = argparse.Namespace(command=command, json=True), 2, exc
     except ResourceLimitError as exc:
         code, error = 3, exc
     except (FieldPolyError, criteria.InconsistentInputError, ValueError) as exc:

@@ -17,16 +17,18 @@ Three producers and a replayer:
 * :func:`fsplit_certificate` records the graded Fedder test verdict.
 
 A certificate is a JSON-ready record: ring, order, named ideals in canonical
-text, a witness, and an ordered verification log of typed steps.  Replaying
-the log recomputes every step from the embedded inputs, so no trust in the
-producer is required.  Both sufficient-condition pipelines always re-check
-their conclusion directly; a hit with a failing conclusion aborts (for the
-colon pipeline that is an internal error, for the symbolic pipeline it means
-the caller's primality assertion was wrong).
+text, a witness, an ordered verification log of typed steps, and the
+conclusion.  One table, ``_KINDS``, gives each kind's steps and conclusion;
+the producers emit them from it and :func:`replay` holds a certificate to it,
+so no trust in the producer is required.  Both sufficient-condition pipelines
+always re-check their conclusion directly; a hit with a failing conclusion
+aborts (for the colon pipeline that is an internal error, for the symbolic
+pipeline it means the caller's primality assertion was wrong).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from ._version import __version__
 from .field_poly import (
     FieldPolyError,
     Monomial,
-    Polynomial,
     RingContext,
     order_for_weight_refinement,
     parse_order,
@@ -119,41 +120,191 @@ class Certificate:
 # -- construction helpers -------------------------------------------------------
 
 
-def _ring_dict(ring: RingContext) -> dict:
-    return {"p": ring.p, "vars": list(ring.names)}
-
-
-def _ideal_entry(I: IdealPresentation, order, where: str = "base") -> dict:
-    return {"ring": where, "generators": [g.text(order) for g in I.generators]}
-
-
 def _digest(order_text: str, entry: dict) -> str:
     blob = json.dumps({"order": order_text, "ideal": entry}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _intersection(ideals: list, order, budget: Budget | None) -> IdealPresentation:
+    return functools.reduce(lambda A, B: intersect(A, B, order, budget), ideals)
 
 
 def _step(op: str, args: dict, expect: dict) -> dict:
     return {"op": op, "args": args, "expect": expect, "ok": True}
 
 
-def _base_data(kind: str, ring: RingContext, order) -> dict:
-    return {
+def _certificate(kind, ring, order, ideals: dict, witness: dict, values=(), basis=None) -> Certificate:
+    """Record the named ideals (one outside ``ring`` lies in the extended ring) and
+    the witness, emit the kind's obligations as the steps, and derive the rest.
+
+    ``values`` are the producer's results for the expected values the obligations
+    leave open, in step order; ``basis`` is as for the kind's outcome.
+    """
+    data = {
         "kind": kind,
         "library_version": __version__,
-        "ring": _ring_dict(ring),
+        "ring": {"p": ring.p, "vars": list(ring.names)},
         "order": order.text(),
         "ideals": {},
         "digests": {},
-        "witness": {},
+        "witness": witness,
         "steps": [],
         "conclusion": {},
     }
+    for name, J in ideals.items():
+        where = "base" if J.ring == ring else "extended"
+        if where == "extended":
+            data["extended_ring"] = {"vars": list(J.ring.names)}
+        entry = {"ring": where, "generators": [g.text(order) for g in J.generators]}
+        data["ideals"][name] = entry
+        data["digests"][name] = _digest(data["order"], entry)
+    _, _, table = _KINDS[kind]
+    obligations, outcome = table(ring, witness)
+    values = iter(values)
+    data["steps"] = [
+        _step(op, args, {key: next(values) if want is _RESULT else want for key, want in expect.items()})
+        for op, args, expect in obligations
+    ]
+    data.update(outcome(data["steps"], basis))
+    return Certificate(data)
 
 
-def _add_ideal(data: dict, name: str, I: IdealPresentation, order, where: str = "base"):
-    entry = _ideal_entry(I, order, where)
-    data["ideals"][name] = entry
-    data["digests"][name] = _digest(data["order"], entry)
+# -- the obligation table -----------------------------------------------------------
+# For each kind, a function of the ring and the witness alone gives the
+# obligations, rows (op, args, expect) in step order, and the outcome: the
+# top-level fields (witness, conclusion, ...) as they follow from the steps
+# once replay has confirmed their results, and from ``basis(name)``, the
+# reduced basis of a named ideal in canonical text.  An expected value of
+# _RESULT is left open: the producer records what it computed, replay
+# recomputes it.
+
+_RESULT = None
+
+
+def _charp(ring, w):
+    poly, lm, top = w["poly"], w["leading_monomial"], top_monomial(ring).text()
+    obligations = [
+        ("bracket_colon", {"ideal": "I"}, {"ideal_equal": "C"}),
+        ("initial_generators", {"ideal": "C"}, {"monomials": _RESULT}),
+        ("membership", {"poly": poly, "ideal": "C"}, {"member": True}),
+        ("leading_monomial", {"poly": poly}, {"monomial": lm}),
+        ("divides", {"divisor": lm, "multiple": top}, {"divides": True}),
+        ("squarefree_initial", {"ideal": "I"}, {"monomials": _RESULT, "all_squarefree": True}),
+    ]
+    return obligations, lambda steps, basis: {
+        "witness": {**w, "target": top},
+        "conclusion": {
+            "claim": "the initial ideal of I is generated by squarefree monomials",
+            "initial_generators": steps[-1]["expect"]["monomials"],
+            "field_note": FIELD_NOTE,
+        },
+    }
+
+
+def _symb(ring, w):
+    primes, h, poly, lm = w["prime_witnesses"], w["height"], w["poly"], w["leading_monomial"]
+    names = [f"P{i + 1}" for i in range(len(primes))]
+    if not names or list(primes) != names:
+        raise FieldPolyError("a Symb certificate names its primes P1, ..., Pk (k >= 1)")
+    obligations = []
+    for name, g in primes.items():
+        obligations += [
+            ("membership", {"poly": g, "ideal": name}, {"member": False}),
+            ("initial_generators", {"ideal": name}, {"monomials": _RESULT}),
+            ("monomial_dimension", {"ideal": name}, {"dimension": _RESULT, "height": _RESULT}),
+        ]
+    obligations.append(("note", {"text": f"h = max of the heights = {h}"}, {}))
+    for name, g in primes.items():
+        symb = {"ideal_equal": f"{name}_symb"}
+        obligations.append(("symbolic_power", {"ideal": name, "m": h, "witness": g}, symb))
+    obligations += [
+        ("intersection", {"ideals": [f"{name}_symb" for name in names]}, {"ideal_equal": "I_symb"}),
+        ("note", {"text": "a monomial ideal contains a squarefree monomial iff one of its minimal "
+                  "generators is squarefree"}, {}),
+        ("membership", {"poly": poly, "ideal": "I_symb"}, {"member": True}),
+        ("leading_monomial", {"poly": poly}, {"monomial": lm}),
+        ("squarefree_monomial", {"monomial": lm}, {"squarefree": True}),
+        ("intersection", {"ideals": names}, {"ideal_equal": "I"}),
+        ("squarefree_initial", {"ideal": "I"}, {"monomials": _RESULT, "all_squarefree": True}),
+    ]
+
+    def outcome(steps, basis):
+        height = max(s["expect"]["height"] for s in steps if s["op"] == "monomial_dimension")
+        return {
+            "witness": {**w, "height": height},
+            "conclusion": {
+                "claim": "the initial ideal of the intersection of the given primes "
+                "is generated by squarefree monomials",
+                "initial_generators": steps[-1]["expect"]["monomials"],
+                "height": height,
+                "field_note": FIELD_NOTE,
+            },
+        }
+
+    return obligations, outcome
+
+
+def _deformation(ring, w):
+    weights = list(validate_weights(ring, w["weights"]))
+    obligations = [
+        ("weight_gb", {"ideal": "I", "weights": weights}, {"ideal_equal": "W"}),
+        ("initial_forms", {"ideal": "I", "weights": weights}, {"ideal_equal": "InW"}),
+        ("homogenize", {"ideal": "I", "weights": weights}, {"ideal_equal": "H"}),
+        ("fiber_zero", {"ideal": "H"}, {"ideal_equal": "InW"}),
+        ("dehomogenize", {"ideal": "H"}, {"ideal_equal": "I"}),
+        ("w_homogeneous", {"ideal": "H", "weights": weights}, {"homogeneous": True}),
+    ]
+    return obligations, lambda steps, basis: {
+        "conclusion": {
+            "claim": "the homogenized ideal defines a one-parameter family whose "
+            "special fiber is the weight-initial ideal and whose general fiber "
+            "is I",
+            "special_fiber": basis("InW"),
+        },
+        "weights": weights,
+    }
+
+
+def _fsplit(ring, w):
+    split = "poly" in w
+    obligations = [("bracket_colon", {"ideal": "I"}, {"ideal_equal": "C"})]
+    if split:
+        obligations += [
+            ("membership", {"poly": w["poly"], "ideal": "C"}, {"member": True}),
+            ("outside_variable_bracket", {"poly": w["poly"]}, {"outside": True}),
+        ]
+    else:
+        obligations.append(("contained_in_variable_bracket", {"ideal": "C"}, {"contained": True}))
+    return obligations, lambda steps, basis: {
+        "witness": {"poly": w["poly"]} if split else {},
+        "conclusion": {
+            "f_split": split,
+            "claim": "the quotient by I is F-split" if split else "the quotient by I is not "
+            "F-split: the Fedder colon lies inside the bracket of the variables",
+        },
+    }
+
+
+# kind -> (witness shape, further top-level fields, the function giving the
+# obligations and the outcome); shapes as for _check_shape.
+_KINDS = {
+    "CharP": ({"poly": str, "leading_monomial": str, "target": str}, {}, _charp),
+    "Symb": (
+        {"poly": str, "leading_monomial": str, "height": int, "prime_witnesses": {str: str}}, {}, _symb
+    ),
+    "Deformation": ({"weights": [int]}, {"extended_ring": {"vars": [str]}, "weights": [int]}, _deformation),
+    "FSplit": ({str: str}, {}, _fsplit),
+}
+_FIELDS = {
+    "kind": str,
+    "library_version": str,
+    "ring": {"p": int, "vars": [str]},
+    "order": str,
+    "ideals": {str: {"ring": str, "generators": [str]}},
+    "digests": {str: str},
+    "steps": [{"op": str, "args": dict, "expect": dict, "ok": bool}],
+    "conclusion": dict,
+}
 
 
 # -- producers -------------------------------------------------------------------
@@ -170,19 +321,11 @@ def charp_certificate(
     C = fedder_colon(I, order, budget)
     gbC = reduced_gb(C, order, budget)
     in_c = [g.leading_monomial(order) for g in gbC.elements]
-    hit = None
-    for g in gbC.elements:
-        if g.leading_monomial(order).divides(top):
-            hit = g
-            break
+    hit = next((g for g in gbC.elements if g.leading_monomial(order).divides(top)), None)
     if hit is None:
         return NotFound(
-            "no minimal generator of the initial ideal of I^[p] : I divides "
-            "the top monomial",
-            {
-                "initial_generators": [m.text() for m in in_c],
-                "target": top.text(),
-            },
+            "no minimal generator of the initial ideal of I^[p] : I divides the top monomial",
+            {"initial_generators": [m.text() for m in in_c], "target": top.text()},
         )
     gbI = reduced_gb(I, order, budget)
     leads = [g.leading_monomial(order) for g in gbI.elements]
@@ -192,45 +335,10 @@ def charp_certificate(
             "squarefree; this contradicts the criterion and indicates a bug"
         )
 
-    data = _base_data("CharP", ring, order)
-    _add_ideal(data, "I", I, order)
-    _add_ideal(data, "C", IdealPresentation(ring, gbC.elements), order)
-    lm = hit.leading_monomial(order)
-    data["witness"] = {
-        "poly": hit.text(order),
-        "leading_monomial": lm.text(),
-        "target": top.text(),
-    }
-    data["steps"] = [
-        _step("bracket_colon", {"ideal": "I"}, {"ideal_equal": "C"}),
-        _step(
-            "initial_generators",
-            {"ideal": "C"},
-            {"monomials": [m.text() for m in in_c]},
-        ),
-        _step("membership", {"poly": hit.text(order), "ideal": "C"}, {"member": True}),
-        _step(
-            "leading_monomial",
-            {"poly": hit.text(order)},
-            {"monomial": lm.text()},
-        ),
-        _step(
-            "divides",
-            {"divisor": lm.text(), "multiple": top.text()},
-            {"divides": True},
-        ),
-        _step(
-            "squarefree_initial",
-            {"ideal": "I"},
-            {"monomials": [m.text() for m in leads], "all_squarefree": True},
-        ),
-    ]
-    data["conclusion"] = {
-        "claim": "the initial ideal of I is generated by squarefree monomials",
-        "initial_generators": [m.text() for m in leads],
-        "field_note": FIELD_NOTE,
-    }
-    return Certificate(data)
+    ideals = {"I": I, "C": IdealPresentation(ring, gbC.elements)}
+    witness = {"poly": hit.text(order), "leading_monomial": hit.leading_monomial(order).text()}
+    values = [[m.text() for m in in_c], [m.text() for m in leads]]
+    return _certificate("CharP", ring, order, ideals, witness, values)
 
 
 def symb_certificate(
@@ -252,8 +360,7 @@ def symb_certificate(
             raise FieldPolyError("the zero ideal is not an admissible prime input")
 
     names = [f"P{i + 1}" for i in range(len(primes))]
-    heights = []
-    per_prime_steps = []
+    values = []  # per prime: initial generators, dimension, height
     for name, (P, g) in zip(names, primes):
         if member(g, P, order, budget):
             raise InconsistentInputError(
@@ -261,44 +368,19 @@ def symb_certificate(
             )
         in_p = MonomialIdeal(ring, tuple(reduced_gb(P, order, budget).leading_monomials()))
         dim = monomial_dimension(in_p)
-        h_i = ring.n - dim
-        heights.append(h_i)
-        per_prime_steps.append((name, P, g, in_p, dim, h_i))
-    h = max(heights)
+        values += [[m.text() for m in in_p.generators], dim, ring.n - dim]
+    h = max(values[2::3])
 
-    symb_names = []
-    symbolic_powers = []
-    for name, P, g, in_p, dim, h_i in per_prime_steps:
-        Q = symbolic_power_prime(P, h, g, order, budget)
-        symb_names.append(f"{name}_symb")
-        symbolic_powers.append(Q)
-
-    Ih = symbolic_powers[0]
-    for Q in symbolic_powers[1:]:
-        Ih = intersect(Ih, Q, order, budget)
-
-    gb_ih = reduced_gb(Ih, order, budget)
-    hit = None
-    for f in gb_ih.elements:
-        if f.leading_monomial(order).is_squarefree():
-            hit = f
-            break
+    symbolic_powers = [symbolic_power_prime(P, h, g, order, budget) for P, g in primes]
+    gb_ih = reduced_gb(_intersection(symbolic_powers, order, budget), order, budget)
+    hit = next((f for f in gb_ih.elements if f.leading_monomial(order).is_squarefree()), None)
     if hit is None:
         return NotFound(
-            "no reduced-basis element of the symbolic power has a squarefree "
-            "leading monomial",
-            {
-                "height": h,
-                "leading_monomials": [
-                    m.text() for m in gb_ih.leading_monomials()
-                ],
-            },
+            "no reduced-basis element of the symbolic power has a squarefree leading monomial",
+            {"height": h, "leading_monomials": [m.text() for m in gb_ih.leading_monomials()]},
         )
 
-    Irad = primes[0][0]
-    for P, _ in primes[1:]:
-        Irad = intersect(Irad, P, order, budget)
-    gb_rad = reduced_gb(Irad, order, budget)
+    gb_rad = reduced_gb(_intersection([P for P, _ in primes], order, budget), order, budget)
     leads = [g.leading_monomial(order) for g in gb_rad.elements]
     if not all(m.is_squarefree() for m in leads):
         raise InconsistentInputError(
@@ -306,95 +388,18 @@ def symb_certificate(
             "intersection is not squarefree; some input ideal is not prime"
         )
 
-    data = _base_data("Symb", ring, order)
-    steps = []
-    for name, P, g, in_p, dim, h_i in per_prime_steps:
-        _add_ideal(data, name, P, order)
-        steps.append(
-            _step(
-                "membership",
-                {"poly": g.text(order), "ideal": name},
-                {"member": False},
-            )
-        )
-        steps.append(
-            _step(
-                "initial_generators",
-                {"ideal": name},
-                {"monomials": [m.text() for m in in_p.generators]},
-            )
-        )
-        steps.append(
-            _step(
-                "monomial_dimension",
-                {"ideal": name},
-                {"dimension": dim, "height": h_i},
-            )
-        )
-    steps.append(
-        _step("note", {"text": f"h = max of the heights = {h}"}, {})
-    )
-    for sname, (name, P, g, in_p, dim, h_i), Q in zip(
-        symb_names, per_prime_steps, symbolic_powers
-    ):
-        _add_ideal(data, sname, IdealPresentation(ring, reduced_gb(Q, order, budget).elements), order)
-        steps.append(
-            _step(
-                "symbolic_power",
-                {"ideal": name, "m": h, "witness": g.text(order)},
-                {"ideal_equal": sname},
-            )
-        )
-    _add_ideal(data, "I_symb", IdealPresentation(ring, gb_ih.elements), order)
-    steps.append(
-        _step("intersection", {"ideals": symb_names}, {"ideal_equal": "I_symb"})
-    )
-    steps.append(
-        _step(
-            "note",
-            {
-                "text": "a monomial ideal contains a squarefree monomial iff "
-                "one of its minimal generators is squarefree"
-            },
-            {},
-        )
-    )
-    lm = hit.leading_monomial(order)
-    steps.append(
-        _step("membership", {"poly": hit.text(order), "ideal": "I_symb"}, {"member": True})
-    )
-    steps.append(
-        _step("leading_monomial", {"poly": hit.text(order)}, {"monomial": lm.text()})
-    )
-    steps.append(
-        _step("squarefree_monomial", {"monomial": lm.text()}, {"squarefree": True})
-    )
-    _add_ideal(data, "I", IdealPresentation(ring, gb_rad.elements), order)
-    steps.append(_step("intersection", {"ideals": names}, {"ideal_equal": "I"}))
-    steps.append(
-        _step(
-            "squarefree_initial",
-            {"ideal": "I"},
-            {"monomials": [m.text() for m in leads], "all_squarefree": True},
-        )
-    )
-    data["steps"] = steps
-    data["witness"] = {
+    ideals = {name: P for name, (P, _) in zip(names, primes)}
+    for name, Q in zip(names, symbolic_powers):
+        ideals[f"{name}_symb"] = IdealPresentation(ring, reduced_gb(Q, order, budget).elements)
+    ideals["I_symb"] = IdealPresentation(ring, gb_ih.elements)
+    ideals["I"] = IdealPresentation(ring, gb_rad.elements)
+    witness = {
         "poly": hit.text(order),
-        "leading_monomial": lm.text(),
+        "leading_monomial": hit.leading_monomial(order).text(),
         "height": h,
-        "prime_witnesses": {
-            name: g.text(order) for name, (P, g) in zip(names, primes)
-        },
+        "prime_witnesses": {name: g.text(order) for name, (P, g) in zip(names, primes)},
     }
-    data["conclusion"] = {
-        "claim": "the initial ideal of the intersection of the given primes "
-        "is generated by squarefree monomials",
-        "initial_generators": [m.text() for m in leads],
-        "height": h,
-        "field_note": FIELD_NOTE,
-    }
-    return Certificate(data)
+    return _certificate("Symb", ring, order, ideals, witness, values + [[m.text() for m in leads]])
 
 
 def deformation_fibers(
@@ -407,10 +412,8 @@ def deformation_fibers(
     gb_w = reduced_gb(I, worder, budget)
     H = homogenize_w(I, weights, order, budget)
     in_w = initial_forms_ideal(I, weights, order, budget)
-    fiber0 = fiber_at_zero(H)
-    ok_zero = ideals_equal(fiber0, in_w, order, budget)
-    dehom = dehomogenize_ideal(H)
-    ok_one = ideals_equal(dehom, I, order, budget)
+    ok_zero = ideals_equal(fiber_at_zero(H), in_w, order, budget)
+    ok_one = ideals_equal(dehomogenize_ideal(H), I, order, budget)
     ok_hom = all(is_weight_homogeneous(F, weights) for F in H.generators)
     if not (ok_zero and ok_one and ok_hom):
         raise SoundnessError(
@@ -418,45 +421,11 @@ def deformation_fibers(
             "construction and indicates a bug"
         )
 
-    data = _base_data("Deformation", ring, order)
-    data["extended_ring"] = {"vars": list(H.ring.names)}
-    data["weights"] = list(weights)
-    _add_ideal(data, "I", I, order)
-    _add_ideal(data, "W", IdealPresentation(ring, gb_w.elements), order)
-    _add_ideal(data, "InW", in_w, order)
-    _add_ideal(data, "H", H, order, where="extended")
-    data["steps"] = [
-        _step(
-            "weight_gb",
-            {"ideal": "I", "weights": list(weights)},
-            {"ideal_equal": "W"},
-        ),
-        _step(
-            "initial_forms",
-            {"ideal": "I", "weights": list(weights)},
-            {"ideal_equal": "InW"},
-        ),
-        _step(
-            "homogenize",
-            {"ideal": "I", "weights": list(weights)},
-            {"ideal_equal": "H"},
-        ),
-        _step("fiber_zero", {"ideal": "H"}, {"ideal_equal": "InW"}),
-        _step("dehomogenize", {"ideal": "H"}, {"ideal_equal": "I"}),
-        _step(
-            "w_homogeneous",
-            {"ideal": "H", "weights": list(weights)},
-            {"homogeneous": True},
-        ),
-    ]
-    data["witness"] = {"weights": list(weights)}
-    data["conclusion"] = {
-        "claim": "the homogenized ideal defines a one-parameter family whose "
-        "special fiber is the weight-initial ideal and whose general fiber "
-        "is I",
-        "special_fiber": [g.text(order) for g in reduced_gb(in_w, order, budget).elements],
-    }
-    return Certificate(data)
+    ideals = {"I": I, "W": IdealPresentation(ring, gb_w.elements), "InW": in_w, "H": H}
+    special_fiber = [g.text(order) for g in reduced_gb(in_w, order, budget).elements]
+    return _certificate(
+        "Deformation", ring, order, ideals, {"weights": list(weights)}, basis=lambda name: special_fiber
+    )
 
 
 def fsplit_certificate(
@@ -464,50 +433,10 @@ def fsplit_certificate(
 ) -> Certificate:
     """Certificate for the graded Fedder test (either verdict)."""
     ring = I.ring
-    outcome = fsplit_graded_test(I, order, budget)
-    data = _base_data("FSplit", ring, order)
-    _add_ideal(data, "I", I, order)
-    C = outcome.colon
-    _add_ideal(
-        data, "C", IdealPresentation(ring, reduced_gb(C, order, budget).elements), order
-    )
-    steps = [_step("bracket_colon", {"ideal": "I"}, {"ideal_equal": "C"})]
-    if outcome.split:
-        steps.append(
-            _step(
-                "membership",
-                {"poly": outcome.witness.text(order), "ideal": "C"},
-                {"member": True},
-            )
-        )
-        steps.append(
-            _step(
-                "outside_variable_bracket",
-                {"poly": outcome.witness.text(order)},
-                {"outside": True},
-            )
-        )
-        data["witness"] = {"poly": outcome.witness.text(order)}
-    else:
-        steps.append(
-            _step(
-                "contained_in_variable_bracket",
-                {"ideal": "C"},
-                {"contained": True},
-            )
-        )
-        data["witness"] = {}
-    data["steps"] = steps
-    data["conclusion"] = {
-        "f_split": outcome.split,
-        "claim": (
-            "the quotient by I is F-split"
-            if outcome.split
-            else "the quotient by I is not F-split: the Fedder colon lies "
-            "inside the bracket of the variables"
-        ),
-    }
-    return Certificate(data)
+    test = fsplit_graded_test(I, order, budget)
+    ideals = {"I": I, "C": IdealPresentation(ring, reduced_gb(test.colon, order, budget).elements)}
+    witness = {"poly": test.witness.text(order)} if test.split else {}
+    return _certificate("FSplit", ring, order, ideals, witness)
 
 
 # -- replay -----------------------------------------------------------------------
@@ -521,40 +450,87 @@ class StepReplay:
     recomputed_ok: bool
     detail: str = ""
 
-    @property
-    def consistent(self) -> bool:
-        return self.recorded_ok == self.recomputed_ok
-
 
 @dataclass
 class VerificationReport:
     ok: bool
     steps: list
+    failed: str | None = None  # the first obligation that does not hold
 
     def __bool__(self):
         return self.ok
 
 
+def _check_shape(value, shape, where: str) -> None:
+    """Raise FieldPolyError unless ``value`` has ``shape``: a JSON type, ``[item]``
+    for a list, ``{str: item}`` for an object with any keys, or an object's keys
+    and their shapes."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    if type(value) is not kind:
+        raise FieldPolyError(f"malformed certificate: {where} must be of type {kind.__name__}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{where}[{i}]")
+    elif isinstance(shape, dict):
+        if str not in shape and value.keys() != shape.keys():
+            key = min(value.keys() ^ shape.keys())
+            what = "lacks" if key in shape else "has unknown"
+            raise FieldPolyError(f"malformed certificate: {where} {what} field {key!r}")
+        for key, item in value.items():
+            _check_shape(item, shape[str] if str in shape else shape[key], f"{where}.{key}")
+
+
+def _validate(data):
+    """Check the certificate's structure; return its kind's table function."""
+    _check_shape(data, dict, "certificate")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FieldPolyError(f"unknown certificate kind {kind!r}")
+    witness, fields, table = _KINDS[kind]
+    _check_shape(data, {**_FIELDS, "witness": witness, **fields}, "certificate")
+    for step in data["steps"]:
+        if step["op"] not in _REPLAY:
+            raise FieldPolyError(f"unknown certificate step {step['op']!r}")
+    return table
+
+
+def _deviation(steps: list, obligations: list) -> str | None:
+    """Name the first recorded step that is not the obligation in its place."""
+    for i, (op, args, expect) in enumerate(obligations):
+        if i == len(steps):
+            return f"missing step {op}"
+        step, recorded = steps[i], steps[i]["expect"]
+        if step["op"] == op and (step["args"].keys(), recorded.keys()) != (args.keys(), expect.keys()):
+            raise FieldPolyError(
+                f"malformed certificate: step {i} {op} takes args {sorted(args)}, expect {sorted(expect)}"
+            )
+        want = _step(op, args, {key: recorded.get(key) if v is _RESULT else v for key, v in expect.items()})
+        if json.dumps(step, sort_keys=True) != json.dumps(want, sort_keys=True):
+            return f"step {i} {step['op']}"
+    if len(steps) > len(obligations):
+        return f"step {len(obligations)} {steps[len(obligations)]['op']}"
+    return None
+
+
 class _ReplayContext:
     def __init__(self, data: dict, budget: Budget | None):
-        self.data = data
         self.budget = budget
         self.ring = RingContext(data["ring"]["p"], tuple(data["ring"]["vars"]))
         self.order = parse_order(data["order"])
+        rings = {"base": self.ring}
         ext = data.get("extended_ring")
         if ext is not None:
             names = tuple(ext["vars"])
             if names[:-1] != self.ring.names:
                 raise FieldPolyError("extended ring does not extend the base ring")
-            self.ext_ring = self.ring.extend(names[-1])
-        else:
-            self.ext_ring = None
+            rings["extended"] = self.ring.extend(names[-1])
         self.ideals: dict[str, IdealPresentation] = {}
         for name, entry in data["ideals"].items():
-            ring = self.ext_ring if entry["ring"] == "extended" else self.ring
+            ring = rings.get(entry["ring"])
+            if ring is None:
+                raise FieldPolyError(f"ideal {name!r} lies in an unknown ring {entry['ring']!r}")
             gens = tuple(ring.parse(text) for text in entry["generators"])
             self.ideals[name] = IdealPresentation(ring, gens)
-        self.weights = tuple(data["weights"]) if "weights" in data else None
 
     def ideal(self, name: str) -> IdealPresentation:
         try:
@@ -562,8 +538,11 @@ class _ReplayContext:
         except KeyError:
             raise FieldPolyError(f"certificate references unknown ideal {name!r}") from None
 
-    def poly(self, text: str) -> Polynomial:
-        return self.ring.parse(text)
+    def gb(self, name: str):
+        return reduced_gb(self.ideal(name), self.order, self.budget)
+
+    def basis(self, name: str) -> list[str]:
+        return [g.text(self.order) for g in self.gb(name).elements]
 
     def monomial(self, text: str) -> Monomial:
         f = self.ring.parse(text)
@@ -572,109 +551,105 @@ class _ReplayContext:
             raise FieldPolyError(f"{text!r} is not a monomial")
         return Monomial(self.ring, next(iter(terms)))
 
-    def equal(self, A: IdealPresentation, name: str) -> bool:
-        return ideals_equal(A, self.ideal(name), self.order, self.budget)
+
+def _squarefree_initial(ctx: _ReplayContext, a: dict) -> dict:
+    leads = ctx.gb(a["ideal"]).leading_monomials()
+    return {"monomials": [m.text() for m in leads], "all_squarefree": all(m.is_squarefree() for m in leads)}
+
+
+def _monomial_dimension(ctx: _ReplayContext, a: dict) -> dict:
+    dim = monomial_dimension(MonomialIdeal(ctx.ring, ctx.gb(a["ideal"]).leading_monomials()))
+    return {"dimension": dim, "height": ctx.ring.n - dim}
+
+
+# op -> recomputation from (context, args): an ideal, checked equal to the one
+# ``expect["ideal_equal"]`` names, or the expected values themselves.  Library
+# functions are looked up when called, so rebinding a module name reaches them.
+_REPLAY = {
+    "note": lambda ctx, a: {},
+    "bracket_colon": lambda ctx, a: fedder_colon(ctx.ideal(a["ideal"]), ctx.order, ctx.budget),
+    "initial_generators": lambda ctx, a: {
+        "monomials": [m.text() for m in ctx.gb(a["ideal"]).leading_monomials()]
+    },
+    "membership": lambda ctx, a: {
+        "member": member(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order, ctx.budget)
+    },
+    "leading_monomial": lambda ctx, a: {
+        "monomial": ctx.ring.parse(a["poly"]).leading_monomial(ctx.order).text()
+    },
+    "divides": lambda ctx, a: {"divides": ctx.monomial(a["divisor"]).divides(ctx.monomial(a["multiple"]))},
+    "squarefree_monomial": lambda ctx, a: {"squarefree": ctx.monomial(a["monomial"]).is_squarefree()},
+    "squarefree_initial": _squarefree_initial,
+    "monomial_dimension": _monomial_dimension,
+    "symbolic_power": lambda ctx, a: symbolic_power_prime(
+        ctx.ideal(a["ideal"]), a["m"], ctx.ring.parse(a["witness"]), ctx.order, ctx.budget
+    ),
+    "intersection": lambda ctx, a: _intersection([ctx.ideal(n) for n in a["ideals"]], ctx.order, ctx.budget),
+    "weight_gb": lambda ctx, a: IdealPresentation(ctx.ring, reduced_gb(
+        ctx.ideal(a["ideal"]), order_for_weight_refinement(tuple(a["weights"]), ctx.order), ctx.budget
+    ).elements),
+    "initial_forms": lambda ctx, a: initial_forms_ideal(
+        ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order, ctx.budget
+    ),
+    "homogenize": lambda ctx, a: homogenize_w(
+        ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order, ctx.budget
+    ),
+    "fiber_zero": lambda ctx, a: fiber_at_zero(ctx.ideal(a["ideal"])),
+    "dehomogenize": lambda ctx, a: dehomogenize_ideal(ctx.ideal(a["ideal"])),
+    "w_homogeneous": lambda ctx, a: {
+        "homogeneous": all(
+            is_weight_homogeneous(F, tuple(a["weights"])) for F in ctx.ideal(a["ideal"]).generators
+        )
+    },
+    "outside_variable_bracket": lambda ctx, a: {
+        "outside": not bracket_of_variables(ctx.ring).contains_polynomial(ctx.ring.parse(a["poly"]))
+    },
+    "contained_in_variable_bracket": lambda ctx, a: {
+        "contained": all(
+            bracket_of_variables(ctx.ring).contains_polynomial(g) for g in ctx.ideal(a["ideal"]).generators
+        )
+    },
+}
 
 
 def _replay_step(ctx: _ReplayContext, step: dict) -> tuple[bool, str]:
-    op = step["op"]
-    args = step["args"]
-    expect = step["expect"]
-    order = ctx.order
-    budget = ctx.budget
-    if op == "note":
-        return True, ""
-    if op == "bracket_colon":
-        C = fedder_colon(ctx.ideal(args["ideal"]), order, budget)
-        return ctx.equal(C, expect["ideal_equal"]), "recomputed I^[p] : I"
-    if op == "initial_generators":
-        gb = reduced_gb(ctx.ideal(args["ideal"]), order, budget)
-        got = [m.text() for m in gb.leading_monomials()]
-        return got == expect["monomials"], f"initial generators {got}"
-    if op == "membership":
-        got = member(ctx.poly(args["poly"]), ctx.ideal(args["ideal"]), order, budget)
-        return got == expect["member"], f"membership {got}"
-    if op == "leading_monomial":
-        got = ctx.poly(args["poly"]).leading_monomial(order).text()
-        return got == expect["monomial"], f"leading monomial {got}"
-    if op == "divides":
-        got = ctx.monomial(args["divisor"]).divides(ctx.monomial(args["multiple"]))
-        return got == expect["divides"], f"divides {got}"
-    if op == "squarefree_monomial":
-        got = ctx.monomial(args["monomial"]).is_squarefree()
-        return got == expect["squarefree"], f"squarefree {got}"
-    if op == "squarefree_initial":
-        gb = reduced_gb(ctx.ideal(args["ideal"]), order, budget)
-        monos = [m.text() for m in gb.leading_monomials()]
-        ok = monos == expect["monomials"] and all(
-            m.is_squarefree() for m in gb.leading_monomials()
-        ) == expect["all_squarefree"]
-        return ok, f"initial generators {monos}"
-    if op == "monomial_dimension":
-        gb = reduced_gb(ctx.ideal(args["ideal"]), order, budget)
-        in_p = MonomialIdeal(ctx.ring, tuple(gb.leading_monomials()))
-        dim = monomial_dimension(in_p)
-        ok = dim == expect["dimension"] and ctx.ring.n - dim == expect["height"]
-        return ok, f"dimension {dim}"
-    if op == "symbolic_power":
-        Q = symbolic_power_prime(
-            ctx.ideal(args["ideal"]), args["m"], ctx.poly(args["witness"]), order, budget
-        )
-        return ctx.equal(Q, expect["ideal_equal"]), "recomputed symbolic power"
-    if op == "intersection":
-        acc = None
-        for name in args["ideals"]:
-            nxt = ctx.ideal(name)
-            acc = nxt if acc is None else intersect(acc, nxt, order, budget)
-        return ctx.equal(acc, expect["ideal_equal"]), "recomputed intersection"
-    if op == "weight_gb":
-        worder = order_for_weight_refinement(tuple(args["weights"]), order)
-        gb = reduced_gb(ctx.ideal(args["ideal"]), worder, budget)
-        W = IdealPresentation(ctx.ring, gb.elements)
-        return ctx.equal(W, expect["ideal_equal"]), "recomputed weight basis"
-    if op == "initial_forms":
-        got = initial_forms_ideal(ctx.ideal(args["ideal"]), tuple(args["weights"]), order, budget)
-        return ctx.equal(got, expect["ideal_equal"]), "recomputed initial forms"
-    if op == "homogenize":
-        H = homogenize_w(ctx.ideal(args["ideal"]), tuple(args["weights"]), order, budget)
-        target = ctx.ideal(expect["ideal_equal"])
-        ok = ideals_equal(H, target, order, budget) if H.ring == target.ring else False
-        return ok, "recomputed homogenization"
-    if op == "fiber_zero":
-        got = fiber_at_zero(ctx.ideal(args["ideal"]))
-        return ctx.equal(got, expect["ideal_equal"]), "recomputed special fiber"
-    if op == "dehomogenize":
-        got = dehomogenize_ideal(ctx.ideal(args["ideal"]))
-        return ctx.equal(got, expect["ideal_equal"]), "recomputed general fiber"
-    if op == "w_homogeneous":
-        got = all(
-            is_weight_homogeneous(F, tuple(args["weights"]))
-            for F in ctx.ideal(args["ideal"]).generators
-        )
-        return got == expect["homogeneous"], f"homogeneous {got}"
-    if op == "outside_variable_bracket":
-        mbr = bracket_of_variables(ctx.ring)
-        got = not mbr.contains_polynomial(ctx.poly(args["poly"]))
-        return got == expect["outside"], f"outside {got}"
-    if op == "contained_in_variable_bracket":
-        mbr = bracket_of_variables(ctx.ring)
-        got = all(
-            mbr.contains_polynomial(g) for g in ctx.ideal(args["ideal"]).generators
-        )
-        return got == expect["contained"], f"contained {got}"
-    raise FieldPolyError(f"unknown certificate step {op!r}")
+    got = _REPLAY[step["op"]](ctx, step["args"])
+    if not isinstance(got, IdealPresentation):
+        return got == step["expect"], f"recomputed {got}"
+    name = step["expect"]["ideal_equal"]
+    target = ctx.ideal(name)
+    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order, ctx.budget)
+    return ok, f"recomputed ideal {'equals' if ok else 'differs from'} {name}"
 
 
 def replay(cert: Certificate | dict, budget: Budget | None = None) -> VerificationReport:
-    """Re-execute the verification log; report recomputed vs recorded results."""
+    """Hold the certificate to its kind's obligations; ``failed`` names the first miss.
+
+    The recorded steps must be the obligations, the digests must match the
+    ideals, every step must recompute to its recorded result (the steps are
+    replayed only if the first two hold), and the witness and conclusion must
+    follow from the results.  A malformed certificate raises FieldPolyError.
+    """
     data = cert.data if isinstance(cert, Certificate) else cert
+    table = _validate(data)
     ctx = _ReplayContext(data, budget)
-    steps = []
-    for i, step in enumerate(data["steps"]):
-        ok, detail = _replay_step(ctx, step)
-        steps.append(StepReplay(i, step["op"], bool(step["ok"]), ok, detail))
-    all_ok = all(s.consistent and s.recomputed_ok for s in steps)
-    return VerificationReport(all_ok, steps)
+    obligations, outcome = table(ctx.ring, data["witness"])
+    ideals, digests = data["ideals"], data["digests"]
+    failed = _deviation(data["steps"], obligations) or next(
+        (f"digest {name}" for name in {**ideals, **digests}
+         if digests.get(name) != _digest(data["order"], ideals.get(name))),
+        None,
+    )
+    steps = []  # every recorded "ok" is true by now: the obligations fix it
+    if failed is None:
+        for i, step in enumerate(data["steps"]):
+            ok, detail = _replay_step(ctx, step)
+            steps.append(StepReplay(i, step["op"], step["ok"], ok, detail))
+        failed = next((f"step {s.index} {s.op}" for s in steps if not s.recomputed_ok), None)
+    if failed is None:
+        derived = outcome(data["steps"], ctx.basis)
+        failed = next((key for key, value in derived.items() if data[key] != value), None)
+    return VerificationReport(failed is None, steps, failed)
 
 
 def verify_certificate(cert: Certificate | dict, budget: Budget | None = None) -> bool:

@@ -226,6 +226,36 @@ def test_certificate_commands_and_verify(tmp_path):
     assert code == 1 and payload["result"]["verified"] is False
 
 
+def test_verify_cert_names_the_failed_obligation(tmp_path):
+    cert = tmp_path / "cert.json"
+    run_cli(["charp-cert", F2X2, "--out", str(cert)])
+    code, payload = run_json(["verify-cert", str(cert)])
+    assert code == 0 and "failed" not in payload["result"]
+    assert "failed obligation" not in run_cli(["verify-cert", str(cert)])[1]
+    data = json.loads(cert.read_text())
+    data["steps"][4]["expect"]["divides"] = False
+    cert.write_text(json.dumps(data))
+    code, payload = run_json(["verify-cert", str(cert)])
+    assert code == 1 and payload["result"]["failed"] == "step 4 divides"
+    code, out, _ = run_cli(["verify-cert", str(cert)])
+    assert code == 1 and "\nfailed obligation: step 4 divides\nverified: False\n" in out
+
+
+def test_usage_errors_under_json_print_an_envelope():
+    for args, message in (
+        (["nf", F2X2], "the following arguments are required: --poly"),
+        (["gb", F2X2, "-m", "3"], "unrecognized arguments: -m 3"),
+        (["gb", F2X2, "--budget-pairs", "abc"], "argument --budget-pairs: invalid int value: 'abc'"),
+    ):
+        code, payload = run_json(args)
+        assert code == 2 and payload["command"] == args[0]
+        assert payload["error"] == {"type": "UsageError", "message": message}
+        # without --json, argparse reports them as always: usage on stderr, exit 2
+        with pytest.raises(SystemExit) as exit_, redirect_stderr(io.StringIO()) as err:
+            cli.main(args)
+        assert exit_.value.code == 2 and err.getvalue().startswith("usage: frobsplit ")
+
+
 def test_symb_cert_command():
     code, payload = run_json(["symb-cert", F2X3])
     assert code == 0
@@ -272,6 +302,18 @@ def test_error_exit_codes(tmp_path):
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
     code, payload = run_json(["nf", F2X2, "--poly", "x1^2147483647*x1"])
     assert code == 2 and payload["error"]["type"] == "ExponentOverflowError"
+    # malformed certificate files: no fields, not an object, a step lacking an argument, too deep
+    cert = tmp_path / "cert.json"
+    assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0
+    lacking = json.loads(cert.read_text())
+    del lacking["steps"][2]["args"]["ideal"]
+    for text in ("{}", "[1]", json.dumps(lacking)):
+        cert.write_text(text)
+        code, payload = run_json(["verify-cert", str(cert)])
+        assert code == 2 and payload["error"]["type"] == "FieldPolyError"
+    cert.write_text("[" * 100000 + "]" * 100000)
+    code, payload = run_json(["verify-cert", str(cert)])
+    assert code == 2 and payload["error"]["message"].startswith("invalid certificate JSON")
 
 
 def test_order_override_flag():

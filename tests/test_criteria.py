@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from itertools import combinations, product
@@ -9,7 +10,7 @@ from frobsplit import field_poly as fp
 from frobsplit import groebner as gb
 from frobsplit import ideal_ops as ops
 
-from conftest import deformed_minors_ideal, minors_2x3, pentagon_ideal
+from conftest import DOCS, deformed_minors_ideal, minors_2x3, pentagon_ideal
 
 
 # -- CharP ------------------------------------------------------------------------
@@ -343,3 +344,127 @@ def test_soundness_harness_zero_failures_on_corpus(ring5):
                 for t in res.data["conclusion"]["initial_generators"]
             )
     assert hits >= 2
+
+
+# -- tamper corpus ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tamper_corpus():
+    """One small certificate of each kind, FSplit with both verdicts, as JSON data."""
+    R4 = fp.ring_new(2, ["x1", "x2", "x3", "x4"])
+    R2 = fp.ring_new(2, ["x", "y"])
+    R5 = fp.ring_new(5, ["x", "y"])
+    x, y = R2.parse("x"), R2.parse("y")
+    certs = {
+        "CharP": cr.charp_certificate(gb.ideal(R4, [R4.parse("x1*x4 - x2*x3")]), fp.lex()),
+        "Symb": cr.symb_certificate([(gb.ideal(R2, [x]), y), (gb.ideal(R2, [y]), x)], fp.lex()),
+        "Deformation": cr.deformation_fibers(gb.ideal(R5, [R5.parse("x^2 - y")]), (1, 1), fp.lex()),
+        "FSplit": cr.fsplit_certificate(gb.ideal(R2, [R2.parse("x*y")]), fp.lex()),
+        "FSplit-not": cr.fsplit_certificate(gb.ideal(R2, [R2.parse("x^2 - y^3")]), fp.grevlex()),
+    }
+    return {name: json.loads(cert.to_json()) for name, cert in certs.items()}
+
+
+def _failure(data):
+    """The obligation replay names as failed (None if verified), or the error it raises."""
+    try:
+        report = cr.replay(data)
+    except fp.FieldPolyError as exc:
+        return f"error: {exc}"
+    assert report.ok is (report.failed is None)
+    return report.failed
+
+
+def _edit(value):
+    """A different value of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "1"
+    return value[:-1] if value else ["x"]
+
+
+def _mutants(data):
+    """(label, mutant, the failure replay must name, or None for any failure or error)."""
+    steps = data["steps"]
+
+    def mutant(change):
+        forged = copy.deepcopy(data)
+        change(forged)
+        return forged
+
+    for i, step in enumerate(steps):
+        dropped = f"step {i} {steps[i + 1]['op']}" if i + 1 < len(steps) else f"missing step {step['op']}"
+        yield f"drop step {i}", mutant(lambda d: d["steps"].pop(i)), dropped
+        if i + 1 < len(steps) and steps[i + 1] != step:
+            swapped = mutant(lambda d: d["steps"].insert(i, d["steps"].pop(i + 1)))
+            yield f"swap steps {i}, {i + 1}", swapped, f"step {i} {steps[i + 1]['op']}"
+        for key, value in step["expect"].items():
+            edited = mutant(lambda d: d["steps"][i]["expect"].update({key: _edit(value)}))
+            yield f"edit step {i} expect {key}", edited, f"step {i} {step['op']}"
+    for key, value in data["conclusion"].items():
+        edited = mutant(lambda d: d["conclusion"].update({key: _edit(value)}))
+        yield f"edit conclusion {key}", edited, "conclusion"
+    for name in data["digests"]:
+        yield f"zero digest {name}", mutant(lambda d: d["digests"].update({name: "0" * 64})), f"digest {name}"
+    for kind in [*cr._KINDS, "Other"]:
+        if kind != data["kind"]:
+            yield f"relabel {kind}", mutant(lambda d: d.update(kind=kind)), None
+    if "poly" in data["witness"]:
+        poly = data["witness"]["poly"]
+        i = next(i for i, s in enumerate(steps) if poly in s["args"].values())
+        edited = mutant(lambda d: d["witness"].update(poly=_edit(poly)))
+        yield "edit witness poly", edited, f"step {i} {steps[i]['op']}"
+    unknown = "error: malformed certificate: certificate has unknown field 'extra'"
+    yield "unknown top-level key", mutant(lambda d: d.update(extra=1)), unknown
+
+
+@pytest.mark.parametrize("name", ["CharP", "Symb", "Deformation", "FSplit", "FSplit-not"])
+def test_every_tampered_certificate_fails_naming_its_obligation(tamper_corpus, name):
+    data = tamper_corpus[name]
+    assert _failure(data) is None
+    mutants = list(_mutants(data))
+    assert len(mutants) > 3 * len(data["steps"])
+    for label, forged, named in mutants:
+        failure = _failure(forged)
+        assert failure, label
+        if named is not None:
+            assert failure == named, label
+
+
+def test_named_forgeries_fail_naming_their_obligation(tamper_corpus):
+    charp = tamper_corpus["CharP"]
+    forgeries = [
+        (charp, lambda d: d.update(steps=[]), "missing step bracket_colon"),
+        (charp, lambda d: d.update(steps=[s for s in d["steps"] if s["op"] == "divides"]), "step 0 divides"),
+        (charp, lambda d: d.update(kind="FSplit"), "step 1 initial_generators"),
+        (charp, lambda d: d["digests"].update(I="0" * 64), "digest I"),
+        (charp, lambda d: d["conclusion"].update(initial_generators=["x1^2"]), "conclusion"),
+        (charp, lambda d: d["witness"].update(poly="x1"), "step 2 membership"),
+        (charp, lambda d: d["steps"].reverse(), "step 0 squarefree_initial"),
+    ]
+    # an F-split verdict forged onto a certificate of the opposite one: the
+    # pentagon edge ideal, and a cusp
+    ring, I = pentagon_ideal()
+    for cert in (cr.fsplit_certificate(I, fp.grevlex()).data, tamper_corpus["FSplit-not"]):
+        assert cert["conclusion"]["f_split"] is False
+        forgeries.append((
+            cert,
+            lambda d: (d["conclusion"].update(f_split=True), d["steps"].pop()),
+            "missing step contained_in_variable_bracket",
+        ))
+    for data, forge, named in forgeries:
+        forged = copy.deepcopy(data)
+        forge(forged)
+        assert not cr.verify_certificate(forged)
+        assert _failure(forged) == named
+
+
+def test_certificate_table_agrees_with_schema_and_replayer(tamper_corpus):
+    schema = json.loads((DOCS / "output.schema.json").read_text())
+    assert schema["definitions"]["certificate"]["properties"]["kind"]["enum"] == list(cr._KINDS)
+    emitted = {step["op"] for data in tamper_corpus.values() for step in data["steps"]}
+    assert emitted == set(cr._REPLAY)
