@@ -32,6 +32,7 @@ from .field_poly import (
     parse_order,
     parse_polynomial_stream,
     tokenize,
+    validate_weights,
     weight_order,
 )
 from .groebner import (
@@ -95,6 +96,7 @@ def parse_problem(text: str) -> ProblemFile:
     ring: RingContext | None = None
     order: MonomialOrder | None = None
     weights: tuple | None = None
+    order_at = None  # the token of a weight order, checked against the ring at the end
     ideals: dict[str, IdealPresentation] = {}
     witnesses: dict[str, Polynomial] = {}
 
@@ -159,6 +161,7 @@ def parse_problem(text: str) -> ProblemFile:
                     order = weight_order(tuple(ws), tie.value)
                 except FieldPolyError as exc:
                     raise ParseError(str(exc), kind.line, kind.column) from None
+                order_at = kind
             else:
                 raise ParseError(f"unknown order {kind.value!r}", kind.line, kind.column)
         elif tok.value == "weight":
@@ -188,6 +191,11 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError("no ring declaration", 1, 1)
     if order is None:
         order = grevlex()
+    if order_at is not None:
+        try:
+            validate_weights(ring, order.weight)
+        except FieldPolyError as exc:
+            raise ParseError(str(exc), order_at.line, order_at.column) from None
     for name in witnesses:
         if name not in ideals:
             raise ParseError(f"witness for undeclared ideal {name!r}", 1, 1)
@@ -270,9 +278,21 @@ def _context(args) -> Context:
         return ctx
     pf = ctx.problem = parse_problem(_read(args.problem, "problem"))
     if args.order:
-        pf.order = parse_order(args.order)
+        try:
+            pf.order = parse_order(args.order)
+            if pf.order.weight is not None:
+                validate_weights(pf.ring, pf.order.weight)
+        except FieldPolyError as exc:
+            raise InputError(f"--order: {exc}") from None
     if "weight" in args and args.weight:
-        pf.weights = tuple(int(x) for x in args.weight.split(","))
+        try:
+            pf.weights = tuple(int(x) for x in args.weight.split(","))
+            if min(pf.weights) < 1:
+                raise ValueError
+        except ValueError:
+            raise InputError(
+                f"--weight expects comma-separated positive integers, got {args.weight!r}"
+            ) from None
         if len(pf.weights) != pf.ring.n:
             raise InputError("weight vector length does not match the ring")
     if "ideal" in args:

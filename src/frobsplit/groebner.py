@@ -36,7 +36,7 @@ DEFAULT_MAX_PAIRS = 10**6
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured pair or degree budget was exhausted (not a math failure)."""
+    """The configured pair budget was exhausted (not a math failure)."""
 
     def __init__(self, message: str, pairs_processed: int):
         super().__init__(message)
@@ -45,10 +45,9 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on Buchberger work; None disables the degree cap."""
+    """Caps on Buchberger work: the number of S-pairs one run may reduce."""
 
     max_pairs: int = DEFAULT_MAX_PAIRS
-    max_degree: int | None = None
 
 
 DEFAULT_BUDGET = Budget()
@@ -272,13 +271,8 @@ def _buchberger(inputs, keyf, p, budget: Budget, pair_noise=None):
             )
         s = _spoly_terms(basis[i], basis[j], p, keyf)
         r = _reduce(s, [reducers[g] for g in active], p)
-        if not r:
-            continue
-        if budget.max_degree is not None and sum(r[0][1]) > budget.max_degree:
-            raise ResourceLimitError(
-                f"degree budget of {budget.max_degree} exceeded", processed
-            )
-        install(r)
+        if r:
+            install(r)
 
     return _autoreduce([basis[g] for g in active], p), processed
 
@@ -381,6 +375,8 @@ class IdealPresentation:
 
     Zero generators are dropped at construction.  The cache fill is
     idempotent (the reduced basis is unique), so concurrent readers are safe.
+    The same dict caches ideals derived per order under ``(name, order)``
+    keys, such as the Fedder colon.
     ``provenance`` carries operation metadata (saturation exponents, symbolic
     power witnesses) and does not affect equality.
     """
@@ -389,7 +385,6 @@ class IdealPresentation:
     generators: tuple[Polynomial, ...]
     provenance: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
     _gb_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _aux_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         gens = []
@@ -403,9 +398,6 @@ class IdealPresentation:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    def generator_texts(self, order) -> list[str]:
-        return [g.text(order) for g in self.generators]
 
 
 def ideal(ring: RingContext, generators) -> IdealPresentation:

@@ -64,15 +64,6 @@ def project_last(f: Polynomial, base: RingContext) -> Polynomial:
     return Polynomial(base, out)
 
 
-def _aux_ring(ring: RingContext) -> RingContext:
-    name = "t_aux"
-    k = 0
-    while name in ring.names:
-        name = f"t_aux{k}"
-        k += 1
-    return ring.extend(name)
-
-
 # -- intersection, colon, saturation -------------------------------------------
 
 
@@ -85,7 +76,7 @@ def intersect(
     ring = A.ring
     if A.is_zero or B.is_zero:
         return IdealPresentation(ring, ())
-    ext = _aux_ring(ring)
+    ext = ring.extend()
     t = ext.variable(ext.n - 1)
     one_minus_t = ext.one() - t
     gens = [t * embed(a, ext) for a in A.generators]
@@ -352,14 +343,6 @@ def monomial_dimension(M: MonomialIdeal) -> int:
         return best
 
     return n - cover(supports)
-
-
-def monomial_ideal_intersection_lcm(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
-    """Independent oracle for monomial-ideal intersection: pairwise lcms."""
-    if A.ring != B.ring:
-        raise FieldPolyError("ideals from different rings")
-    gens = [a.lcm(b) for a in A.generators for b in B.generators]
-    return MonomialIdeal(A.ring, tuple(gens))
 
 
 def bracket_of_variables(ring: RingContext, e: int = 1) -> MonomialIdeal:

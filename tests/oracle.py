@@ -1,17 +1,20 @@
-"""Degree-truncated linear-algebra Groebner oracle.
+"""Independent oracles for the test suite.
 
-Validates Buchberger output by a completely different route: build the
-Macaulay matrix of all monomial multiples of the generators up to a stated
-total degree, row-reduce it over F_p, and read the basis off the reduced row
-echelon form.  Columns are sorted descending under the monomial order, so
-row pivots are leading monomials; the rows whose pivots are minimal under
-divisibility are the reduced Groebner basis elements of degree at most the
-truncation bound (RREF has already cleared every other pivot monomial from
-their tails).
+The degree-truncated linear-algebra Groebner oracle validates Buchberger
+output by a completely different route: build the Macaulay matrix of all
+monomial multiples of the generators up to a stated total degree, row-reduce
+it over F_p, and read the basis off the reduced row echelon form.  Columns
+are sorted descending under the monomial order, so row pivots are leading
+monomials; the rows whose pivots are minimal under divisibility are the
+reduced Groebner basis elements of degree at most the truncation bound (RREF
+has already cleared every other pivot monomial from their tails).
 
 The truncation is exact once the bound dominates the degrees that the
 completed basis needs; ``stable_gb`` grows the bound until the extracted
 basis agrees at two consecutive degrees.
+
+``monomial_ideal_intersection_lcm`` checks monomial-ideal intersection
+against the pairwise-lcm formula.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .field_poly import Polynomial, RingContext
+from frobsplit.field_poly import FieldPolyError, Polynomial, RingContext
+from frobsplit.groebner import MonomialIdeal
 
 
 def monomials_up_to(n: int, degree: int):
@@ -155,3 +159,11 @@ def stable_gb(ring: RingContext, generators, order, start_degree: int, max_degre
             return cur, d
         prev = cur
     return None
+
+
+def monomial_ideal_intersection_lcm(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
+    """Monomial-ideal intersection by pairwise lcms of the generators."""
+    if A.ring != B.ring:
+        raise FieldPolyError("ideals from different rings")
+    gens = [a.lcm(b) for a in A.generators for b in B.generators]
+    return MonomialIdeal(A.ring, tuple(gens))

@@ -20,8 +20,8 @@ from frobsplit import field_poly as fp
 from frobsplit import frobenius as fr
 from frobsplit import groebner as gb
 from frobsplit import ideal_ops as ops
-from frobsplit import oracle
 
+import oracle
 from conftest import FIXTURES, deformed_minors_ideal, minors_2x3, pentagon_ideal, random_polynomial
 
 

@@ -302,6 +302,18 @@ def test_error_exit_codes(tmp_path):
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
     code, payload = run_json(["nf", F2X2, "--poly", "x1^2147483647*x1"])
     assert code == 2 and payload["error"]["type"] == "ExponentOverflowError"
+    # weight vectors that do not fit name the flag, or the position in the file
+    code, payload = run_json(["homogenize", FDEF, "--weight", "a,b,c,d,e"])
+    assert code == 2 and payload["error"]["type"] == "InputError"
+    assert payload["error"]["message"].startswith("--weight ")
+    code, payload = run_json(["gb", FDEF, "--order", "weight(1,2,3,4; tie=lex)"])
+    assert code == 2 and payload["error"]["type"] == "InputError"
+    assert payload["error"]["message"].startswith("--order: ")
+    short = tmp_path / "short.prob"
+    short.write_text("ring: p=5; vars=a,b,c\norder: weight(1,1; tie=lex)\nideal I: a*b;\n")
+    code, payload = run_json(["gb", str(short)])
+    assert code == 2 and payload["error"]["type"] == "ParseError"
+    assert payload["error"]["message"].endswith("(line 2, column 8)")
     # malformed certificate files: no fields, not an object, a step lacking an argument, too deep
     cert = tmp_path / "cert.json"
     assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0
@@ -384,8 +396,16 @@ def test_no_unclosed_files_in_dev_mode(tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    proc = run_python("-c", "import sys, frobsplit.cli; print('numpy' in sys.modules)")
-    assert proc.stdout == "False\n", proc.stderr
+    # every submodule of the package, not only the CLI, stays free of numpy
+    code = (
+        "import importlib, pkgutil, sys, frobsplit\n"
+        "for m in pkgutil.iter_modules(frobsplit.__path__, 'frobsplit.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('frobsplit.')), 'numpy' in sys.modules)"
+    )
+    proc = run_python("-c", code)
+    assert proc.stdout.endswith(" False\n"), proc.stderr
+    assert "'frobsplit.cli'" in proc.stdout and "'frobsplit.frobenius'" in proc.stdout
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):

@@ -162,11 +162,51 @@ def test_compatible_check_examples():
     assert fr.compatible_check(theta, gb.ideal(R, []), o)
 
 
-def test_compatible_check_budget_refusal():
-    R = fp.ring_new(5, [f"x{i}" for i in range(8)])  # 5^8 > 2^16
+def coset_definition(f, J, order):
+    """(f * trace)(J) ⊆ J checked on every x^a * g, a below p, g a generator."""
+    R = J.ring
+    for g in J.generators:
+        for a in product(range(R.p), repeat=R.n):
+            image = fr.trace(f * g.multiply_monomial(R.monomial(a)))
+            if image and not gb.member(image, J, order):
+                return False
+    return True
+
+
+def test_compatible_check_matches_coset_definition_randomized():
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 3)
+        R = fp.ring_new(p, [f"x{k}" for k in range(n)])
+        o = rng.choice([fp.lex(), fp.grevlex()])
+        gens = [random_polynomial(rng, R, 3, max_terms=3, nonzero=True) for _ in range(rng.randint(1, 2))]
+        J = gb.ideal(R, gens)
+        f = random_polynomial(rng, R, 2 * p, max_terms=4)
+        if rng.random() < 0.5:
+            # g^(p-1) * h lies in (g)^[p] : (g), so these instances often hold
+            f = f * gens[0] ** (p - 1)
+        got = fr.compatible_check(f, J, o)
+        assert got == coset_definition(f, J, o)
+        if not gb.member(R.one(), J, o):
+            verdicts.append(got)
+    # both verdicts occur often on proper ideals, where compatibility is not automatic
+    assert min(verdicts.count(True), verdicts.count(False)) > 50
+
+
+def test_compatible_check_has_no_coset_limit():
+    # 5^8 cosets: the cost is the terms of f * g, not p^n
+    R = fp.ring_new(5, [f"x{i}" for i in range(8)])
     I = gb.ideal(R, [R.variable(0)])
-    with pytest.raises(fr.EnumerationBudgetError):
-        fr.compatible_check(R.one(), I, fp.lex())
+    assert not fr.compatible_check(R.one(), I, fp.lex())
+    assert fr.compatible_check(fr.standard_splitting_carrier(R), I, fp.lex())
+    # the hypersurface (ab - cd) at p = 31 with its Fedder element g^(p-1)
+    S = fp.ring_new(31, ["a", "b", "c", "d"])
+    g = S.parse("a*b - c*d")
+    J = gb.ideal(S, [g])
+    assert fr.compatible_check(g**30, J, fp.grevlex())
+    assert not fr.compatible_check(S.one(), J, fp.grevlex())
 
 
 def test_standard_splitting_characterization_small():
