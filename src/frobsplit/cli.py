@@ -96,7 +96,10 @@ def parse_problem(text: str) -> ProblemFile:
     ring: RingContext | None = None
     order: MonomialOrder | None = None
     weights: tuple | None = None
-    order_at = None  # the token of a weight order, checked against the ring at the end
+    # tokens of a weight order, the weight line and each witness name, checked
+    # against the ring and the ideals at the end
+    order_at = weights_at = None
+    witness_at: dict = {}
     ideals: dict[str, IdealPresentation] = {}
     witnesses: dict[str, Polynomial] = {}
 
@@ -169,6 +172,7 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("duplicate weight declaration", tok.line, tok.column)
             ts.expect(":")
             weights = tuple(comma_list(integer))
+            weights_at = tok
         elif tok.value == "ideal":
             r = need_ring(tok)
             name = ts.expect("ident").value
@@ -181,6 +185,7 @@ def parse_problem(text: str) -> ProblemFile:
         elif tok.value == "witness":
             r = need_ring(tok)
             name = ts.expect("ident").value
+            witness_at[name] = tok
             ts.expect(":")
             witnesses[name] = parse_polynomial_stream(r, ts)
             ts.expect(";")
@@ -191,16 +196,15 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError("no ring declaration", 1, 1)
     if order is None:
         order = grevlex()
-    if order_at is not None:
-        try:
-            validate_weights(ring, order.weight)
-        except FieldPolyError as exc:
-            raise ParseError(str(exc), order_at.line, order_at.column) from None
-    for name in witnesses:
+    for at, ws in ((order_at, order.weight), (weights_at, weights)):
+        if at is not None:
+            try:
+                validate_weights(ring, ws)
+            except FieldPolyError as exc:
+                raise ParseError(str(exc), at.line, at.column) from None
+    for name, at in witness_at.items():
         if name not in ideals:
-            raise ParseError(f"witness for undeclared ideal {name!r}", 1, 1)
-    if weights is not None and len(weights) != ring.n:
-        raise ParseError("weight vector length does not match the ring", 1, 1)
+            raise ParseError(f"witness for undeclared ideal {name!r}", at.line, at.column)
     return ProblemFile(ring, order, ideals, witnesses, weights)
 
 

@@ -210,7 +210,7 @@ class Monomial:
 
     def weighted_degree(self, weights) -> int:
         if len(weights) != len(self.exponents):
-            raise FieldPolyError("weight vector length does not match ring")
+            raise FieldPolyError("weight vector length does not match the ring")
         return sum(w * e for w, e in zip(weights, self.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -492,7 +492,7 @@ class Polynomial:
 def validate_weights(ring: RingContext, weights) -> tuple[int, ...]:
     weights = tuple(weights)
     if len(weights) != ring.n:
-        raise FieldPolyError("weight vector length does not match ring")
+        raise FieldPolyError("weight vector length does not match the ring")
     if any((not isinstance(w, int)) or w <= 0 for w in weights):
         raise FieldPolyError("weights must be strictly positive integers")
     return weights

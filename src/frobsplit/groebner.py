@@ -15,7 +15,8 @@ leading monomial it divides.  Every pair that survives to be popped is
 reduced; pairs are popped by the normal strategy (minimal lcm degree, then
 lcm key).  The output is the unique reduced Groebner basis, so the result is
 independent of the selection strategy; a private hook lets tests randomize
-selection to check exactly that.
+selection to check exactly that.  An ideal generated by single terms forms
+no pairs: its minimal generators, made monic, are its reduced basis.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .field_poly import (
     Monomial,
     Polynomial,
     RingContext,
+    RingMismatchError,
     ZeroPolynomialError,
 )
 
@@ -107,18 +109,24 @@ class _Reducer:
         self.tail = terms[1:]
 
 
-def _reduce(terms, reducers, p):
-    """Full normal form of a kernel polynomial against a reducer list.
-
-    Scans reducers in list order for the first whose leading monomial divides
-    the current maximal term; terms with no divisor move to the remainder.
-    """
+def _heap(terms):
+    """The active terms of a division: exponent -> coefficient, and a max-heap."""
     coeffs: dict[tuple, int] = {}
     heap: list[tuple[tuple, tuple]] = []
     for k, e, c in terms:
         coeffs[e] = c
         heap.append((_neg_key(k), e))
     heapq.heapify(heap)
+    return coeffs, heap
+
+
+def _reduce(terms, reducers, p):
+    """Full normal form of a kernel polynomial against a reducer list.
+
+    Scans reducers in list order for the first whose leading monomial divides
+    the current maximal term; terms with no divisor move to the remainder.
+    """
+    coeffs, heap = _heap(terms)
     remainder = []
     while heap:
         nk, e = heapq.heappop(heap)
@@ -142,23 +150,54 @@ def _reduce(terms, reducers, p):
         if hit is None:
             remainder.append((_neg_key(nk), e, c))
             continue
-        shift = tuple(a - b for a, b in zip(e, hit.lm))
-        shift_key = tuple(a - b for a, b in zip(_neg_key(nk), hit.lm_key))
-        for tk, te, tc in hit.tail:
-            ne = tuple(a + b for a, b in zip(te, shift))
-            if ne in coeffs:
-                v = (coeffs[ne] - c * tc) % p
-                if v:
-                    coeffs[ne] = v
-                else:
-                    del coeffs[ne]
-            else:
-                v = (-c * tc) % p
-                if v:
-                    coeffs[ne] = v
-                    nk2 = tuple(-(a + b) for a, b in zip(tk, shift_key))
-                    heapq.heappush(heap, (nk2, ne))
+        _subtract(coeffs, heap, hit, e, nk, c, p)
     return remainder
+
+
+def _divide(terms, red, p):
+    """Exact quotient of a kernel polynomial by one reducer, or None.
+
+    The heap pass of :func:`_reduce` with a single reducer: the leading
+    monomial of ``red`` must divide every maximal term the pass meets, else
+    the division leaves a remainder.  The quotient is by the monic reducer,
+    in kernel form.
+    """
+    coeffs, heap = _heap(terms)
+    quotient = []
+    while heap:
+        nk, e = heapq.heappop(heap)
+        c = coeffs.pop(e, 0)
+        if not c:
+            continue
+        if red.mask & ~_mask(e) or not _divides(red.lm, e):
+            return None
+        quotient.append(_subtract(coeffs, heap, red, e, nk, c, p))
+    return quotient
+
+
+def _subtract(coeffs, heap, red, e, nk, c, p):
+    """Cancel the term ``c * x^e`` (heap key ``nk``) with a multiple of ``red``.
+
+    Merges the shifted reducer tail into the active terms and returns the
+    multiplier ``(key, exponents, c)``.
+    """
+    shift = tuple(a - b for a, b in zip(e, red.lm))
+    shift_key = tuple(-a - b for a, b in zip(nk, red.lm_key))
+    for tk, te, tc in red.tail:
+        ne = tuple(a + b for a, b in zip(te, shift))
+        if ne in coeffs:
+            v = (coeffs[ne] - c * tc) % p
+            if v:
+                coeffs[ne] = v
+            else:
+                del coeffs[ne]
+        else:
+            v = (-c * tc) % p
+            if v:
+                coeffs[ne] = v
+                nk2 = tuple(-(a + b) for a, b in zip(tk, shift_key))
+                heapq.heappush(heap, (nk2, ne))
+    return shift_key, shift, c
 
 
 def _spoly_terms(fa, fb, p, keyf):
@@ -316,6 +355,12 @@ class ReducedGB:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.elements)
 
+    def presentation(self) -> "IdealPresentation":
+        """The ideal generated by these elements, with this basis pre-cached."""
+        pres = IdealPresentation(self.ring, self.elements)
+        pres._gb_cache[self.order] = self
+        return pres
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -448,7 +493,11 @@ def reduced_gb(
     p = I.ring.p
     keyf = order.key
     inputs = [_to_terms(g, keyf) for g in I.generators]
-    basis, _ = _buchberger(inputs, keyf, p, budget, pair_noise=_pair_noise)
+    if all(len(t) == 1 for t in inputs):
+        # a monomial ideal's minimal generators are its reduced basis
+        basis = _autoreduce(inputs, p)
+    else:
+        basis, _ = _buchberger(inputs, keyf, p, budget, pair_noise=_pair_noise)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)
@@ -463,14 +512,25 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     responsible for the basis property; the test suite re-checks it on
     fixtures via the S-pair criterion.
     """
-    p = ring.p
     keyf = order.key
     terms = [_to_terms(g, keyf) for g in elements if g]
-    basis = _autoreduce(terms, p)
-    gb = ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis))
-    pres = IdealPresentation(ring, gb.elements)
-    pres._gb_cache[order] = gb
-    return pres
+    basis = _autoreduce(terms, ring.p)
+    return ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis)).presentation()
+
+
+def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
+    """g / f when the nonzero f divides g, else None."""
+    if f.ring != g.ring:
+        raise RingMismatchError("polynomials from different rings")
+    p = g.ring.p
+    keyf = order.key
+    f_terms = _to_terms(f, keyf)
+    q = _divide(_to_terms(g, keyf), _Reducer(f_terms, p), p)
+    if q is None:
+        return None
+    # the kernel divided by the monic f / lc(f)
+    inv = pow(f_terms[0][2], -1, p)
+    return Polynomial(g.ring, {e: (c * inv) % p for _, e, c in q})
 
 
 def initial_ideal(I: IdealPresentation, order, budget: Budget | None = None) -> MonomialIdeal:

@@ -2,11 +2,15 @@
 
 Intersections are computed by eliminating an auxiliary variable from
 ``t*A + (1-t)*B``; the auxiliary variable is appended internally and never
-appears in results.  Colons divide the generators of ``I ∩ (f)`` exactly by
-``f``; that quotient set is again a Groebner basis, so colon and intersection
-results come back with their reduced basis pre-cached.  Saturation iterates
-the colon until the reduced bases agree and records the stabilization
-exponent in the result's provenance.
+appears in results, and the ``t``-free part of the reduced elimination basis
+is kept as the reduced basis of ``A ∩ B``.  Colons divide the generators of
+``I ∩ (f)`` exactly by ``f``; that quotient set is again a Groebner basis, so
+colon and intersection results come back with their reduced basis
+pre-cached.  A principal colon ``(h) : f`` with ``f`` dividing ``h`` is
+``(h/f)`` and skips the intersection, which gives the hypersurface Fedder
+colon ``(f^p) : f = (f^(p-1))`` directly.  Saturation iterates the colon
+until the reduced bases agree and records the stabilization exponent in the
+result's provenance.
 
 Weight homogenization follows the ideal-level construction: first a Groebner
 basis under the weight order (homogenizing raw generators is not enough),
@@ -32,6 +36,8 @@ from .groebner import (
     Budget,
     IdealPresentation,
     MonomialIdeal,
+    ReducedGB,
+    _quotient,
     member,
     presentation_from_gb,
     reduced_gb,
@@ -54,16 +60,6 @@ def embed(f: Polynomial, ext: RingContext) -> Polynomial:
     return Polynomial(ext, {e + (0,): c for e, c in f.terms_dict().items()})
 
 
-def project_last(f: Polynomial, base: RingContext) -> Polynomial:
-    """Drop the last variable; every term must be free of it."""
-    out = {}
-    for e, c in f.terms_dict().items():
-        if e[-1] != 0:
-            raise FieldPolyError("polynomial involves the variable being dropped")
-        out[e[:-1]] = c
-    return Polynomial(base, out)
-
-
 # -- intersection, colon, saturation -------------------------------------------
 
 
@@ -83,35 +79,25 @@ def intersect(
     gens += [one_minus_t * embed(b, ext) for b in B.generators]
     elim = EliminationOrder(order)
     gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim, budget)
-    kept = [
-        project_last(g, ring)
-        for g in gb.elements
-        if g.leading_monomial(elim).exponents[-1] == 0
-    ]
     # the t-free part of a reduced elimination basis is the reduced basis of
-    # the intersection for the base order
-    return presentation_from_gb(ring, kept, order)
+    # the intersection for the base order; an element is t-free iff its
+    # leading monomial is, so in the ascending basis those elements come first
+    kept = []
+    for g in gb.elements:
+        terms = g.terms_dict()
+        if any(e[-1] for e in terms):
+            break
+        kept.append(Polynomial(ring, {e[:-1]: c for e, c in terms.items()}))
+    return ReducedGB(ring, order, tuple(kept)).presentation()
 
 
 def exact_divide(g: Polynomial, f: Polynomial, order) -> Polynomial:
     """Quotient g / f in the polynomial ring; raises unless f divides g."""
     if not f:
         raise ZeroPolynomialError("division by the zero polynomial")
-    ring = g.ring
-    p = ring.p
-    lm_f, lc_f = f.leading_term(order)
-    inv_lc = pow(lc_f, -1, p)
-    quotient = ring.zero()
-    rest = g
-    while rest:
-        lm_r, lc_r = rest.leading_term(order)
-        if not lm_f.divides(lm_r):
-            raise FieldPolyError("inexact polynomial division")
-        shift = lm_r.divide(lm_f)
-        c = (lc_r * inv_lc) % p
-        q = Polynomial(ring, {shift.exponents: c})
-        quotient = quotient + q
-        rest = rest - f.multiply_monomial(shift, c)
+    quotient = _quotient(g, f, order)
+    if quotient is None:
+        raise FieldPolyError("inexact polynomial division")
     return quotient
 
 
@@ -126,6 +112,11 @@ def colon(
         return IdealPresentation(ring, I.generators)
     if I.is_zero:
         return IdealPresentation(ring, ())
+    if len(I.generators) == 1:
+        # (h) : f = (h / f) when f divides h, since S is a domain
+        quotient = _quotient(I.generators[0], f, order)
+        if quotient is not None:
+            return presentation_from_gb(ring, [quotient], order)
     meet = intersect(I, IdealPresentation(ring, (f,)), order, budget)
     divided = [exact_divide(g, f, order) for g in meet.generators]
     # quotients of a Groebner basis of I ∩ (f) by f form a Groebner basis of I : f

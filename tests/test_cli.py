@@ -314,6 +314,17 @@ def test_error_exit_codes(tmp_path):
     code, payload = run_json(["gb", str(short)])
     assert code == 2 and payload["error"]["type"] == "ParseError"
     assert payload["error"]["message"].endswith("(line 2, column 8)")
+    # a weight line of the wrong length or with a zero, and a witness for an
+    # undeclared ideal, are reported at their statement's first token
+    for line, message in (
+        ("weight: 1,2", "weight vector length does not match the ring"),
+        ("weight: 0,1,1", "weights must be strictly positive integers"),
+        ("witness J: a;", "witness for undeclared ideal 'J'"),
+    ):
+        short.write_text(f"ring: p=5; vars=a,b,c\nideal I: a*b;\n  {line}\n")
+        code, payload = run_json(["homogenize", str(short)])
+        assert code == 2 and payload["error"]["type"] == "ParseError"
+        assert payload["error"]["message"] == f"{message} (line 3, column 3)"
     # malformed certificate files: no fields, not an object, a step lacking an argument, too deep
     cert = tmp_path / "cert.json"
     assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0
@@ -326,6 +337,15 @@ def test_error_exit_codes(tmp_path):
     cert.write_text("[" * 100000 + "]" * 100000)
     code, payload = run_json(["verify-cert", str(cert)])
     assert code == 2 and payload["error"]["message"].startswith("invalid certificate JSON")
+
+
+def test_monomial_ideal_reduces_no_pairs(tmp_path):
+    # a monomial ideal's reduced basis takes no S-pair, so a pair budget of 1 suffices
+    mono = tmp_path / "mono.prob"
+    mono.write_text("ring: p=5; vars=x,y,z\nideal I: x^2*y, x*y^2, y*z^3, x*z;\n")
+    code, payload = run_json(["gb", str(mono), "--budget-pairs", "1"])
+    assert code == 0
+    assert payload["result"]["basis"] == ["x*z", "x*y^2", "x^2*y", "y*z^3"]
 
 
 def test_order_override_flag():

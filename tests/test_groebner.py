@@ -163,6 +163,47 @@ def test_presentation_from_gb_matches_reduced_gb():
                 assert gb.reduced_gb(pres, o).elements == tuple(G)
 
 
+def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
+    # single-term generators skip Buchberger; the redundant binomial
+    # c_i*m_i + c_j*m_j lies in the ideal and forces the pair path
+    runs = []
+    kernel = gb._buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "_buchberger", counting)
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 4)
+        R = fp.ring_new(p, [f"x{i}" for i in range(n)])
+        o = rng.choice([fp.lex(), fp.grevlex(), fp.weight_order(
+            tuple(rng.randint(1, 3) for _ in range(n)), rng.choice(["lex", "grevlex"])
+        )])
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            gens.append(R.polynomial({e: rng.randint(1, p - 1)}))
+        # a multiple of an earlier generator, so minimalization has work
+        gens.append(gens[0] * R.variable(rng.randrange(n)))
+        rng.shuffle(gens)
+        i, j = rng.sample(range(len(gens)), 2)
+        binomial = gens[i] + gens[j]
+        if len(binomial.terms_dict()) < 2:
+            continue
+        del runs[:]
+        got = gb.reduced_gb(gb.ideal(R, gens), o)
+        assert runs == []
+        reference = gb.reduced_gb(gb.ideal(R, gens + [binomial]), o)
+        assert runs == [1]
+        assert got.elements == reference.elements
+        checked += 1
+    assert checked > 100
+
+
 @pytest.mark.parametrize(
     "fixture, pairs", [("minors_2x3.prob", 99), ("pentagon_edge.prob", 2490)]
 )

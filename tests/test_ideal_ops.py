@@ -75,13 +75,36 @@ def test_intersect_against_lcm_formula_randomized():
         )
 
 
+def _orders(rng, n):
+    tie = rng.choice(["lex", "grevlex"])
+    return [fp.lex(), fp.grevlex(), fp.weight_order(tuple(rng.randint(1, 3) for _ in range(n)), tie)]
+
+
+def _elimination_reference(A, B, o):
+    """A ∩ B as the t-free elements of the elimination basis, picked by leading monomial."""
+    ext = A.ring.extend()
+    t = ext.variable(ext.n - 1)
+    gens = [t * ops.embed(a, ext) for a in A.generators]
+    gens += [(ext.one() - t) * ops.embed(b, ext) for b in B.generators]
+    elim = fp.EliminationOrder(o)
+    E = gb.reduced_gb(gb.ideal(ext, gens), elim)
+    kept = [
+        A.ring.polynomial({e[:-1]: c for e, c in g.terms_dict().items()})
+        for g in E.elements
+        if g.leading_monomial(elim).exponents[-1] == 0
+    ]
+    return gb.reduced_gb(gb.ideal(A.ring, kept), o).elements
+
+
 def test_prefilled_bases_match_fresh_buchberger_runs():
     # intersect/colon cache a basis obtained without pair processing; a
-    # from-scratch completion of the same generators must agree exactly
+    # from-scratch completion of the same generators must agree exactly,
+    # and the intersection must agree with the elimination done here
     rng = random.Random(314)
-    R = fp.ring_new(3, ["x", "y", "z"])
-    for _ in range(25):
-        o = rng.choice([fp.lex(), fp.grevlex()])
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        R = fp.ring_new(p, ["x", "y", "z"])
+        o = rng.choice(_orders(rng, 3))
         ga = [random_polynomial(rng, R, 2, max_terms=3) for _ in range(2)]
         gc = [random_polynomial(rng, R, 2, max_terms=3) for _ in range(1)]
         ga = [g for g in ga if g]
@@ -91,7 +114,8 @@ def test_prefilled_bases_match_fresh_buchberger_runs():
         A, B = gb.ideal(R, ga), gb.ideal(R, gc)
         X = ops.intersect(A, B, o)
         fresh = gb.reduced_gb(gb.ideal(R, X.generators), o)
-        assert fresh.elements == gb.reduced_gb(X, o).elements
+        assert fresh.elements == gb.reduced_gb(X, o).elements == X.generators
+        assert X.generators == _elimination_reference(A, B, o)
         f = gc[0]
         C = ops.colon(A, f, o)
         fresh_c = gb.reduced_gb(gb.ideal(R, C.generators), o)
@@ -162,10 +186,78 @@ def test_colon_ideal_presentation_independent():
     assert gb.ideals_equal(CA, CB, o)
 
 
+def test_principal_colon_matches_elimination(monkeypatch):
+    # (h) : f skips the intersection when f divides h; presenting the same
+    # ideal as (h, x*h) forces the elimination route
+    meets = []
+    intersect = ops.intersect
+
+    def counting(*args, **kwargs):
+        meets.append(1)
+        return intersect(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "intersect", counting)
+    rng = random.Random(17)
+    kinds = {"divides": 0, "unit": 0, "inexact": 0}
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        R = fp.ring_new(p, ["x", "y", "z"])
+        o = rng.choice(_orders(rng, 3))
+        f = random_polynomial(rng, R, 2, max_terms=3, nonzero=True)
+        if f.degree() == 0:
+            continue
+        kind = rng.choice(list(kinds))
+        if kind == "divides":
+            h = f * random_polynomial(rng, R, 2, max_terms=3, nonzero=True)
+        elif kind == "unit":
+            h = rng.randint(1, p - 1) * f
+        else:
+            h = f * random_polynomial(rng, R, 1, max_terms=2, nonzero=True) + R.variable(
+                rng.randrange(3)
+            )
+            if gb._quotient(h, f, o) is not None:
+                continue
+        del meets[:]
+        got = ops.colon(gb.ideal(R, [h]), f, o)
+        assert len(meets) == (kind == "inexact")
+        reference = ops.colon(gb.ideal(R, [h, R.variable(0) * h]), f, o)
+        assert gb.reduced_gb(got, o).elements == gb.reduced_gb(reference, o).elements
+        if kind != "inexact":
+            assert got.generators == gb.reduced_gb(got, o).elements
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 10
+
+
+def test_exact_divide_randomized():
+    # (f*q)/f == q, and f*q + m is not a multiple of f when f has two or
+    # more terms and m is a monomial
+    rng = random.Random(23)
+    for _ in range(80):
+        p = rng.choice([2, 3, 5])
+        R = fp.ring_new(p, ["x", "y", "z"])
+        o = rng.choice(_orders(rng, 3))
+        f = random_polynomial(rng, R, 3, max_terms=4, nonzero=True)
+        q = random_polynomial(rng, R, 3, max_terms=4)
+        assert ops.exact_divide(f * q, f, o) == q
+        if len(f.terms_dict()) >= 2:
+            e = tuple(rng.randint(0, 3) for _ in range(3))
+            m = R.polynomial({e: rng.randint(1, p - 1)})
+            with pytest.raises(fp.FieldPolyError, match="inexact"):
+                ops.exact_divide(f * q + m, f, o)
+
+
 def test_exact_divide_errors(ring_xy5):
     R = ring_xy5
     with pytest.raises(fp.FieldPolyError):
         ops.exact_divide(R.parse("x + 1"), R.parse("y"), fp.lex())
+    with pytest.raises(fp.ZeroPolynomialError):
+        ops.exact_divide(R.parse("x + 1"), R.zero(), fp.lex())
+    S = fp.ring_new(5, ["x", "y", "z"])
+    for g, f in ((S.parse("x*y"), R.parse("x")), (R.parse("x*y"), S.parse("x"))):
+        with pytest.raises(fp.RingMismatchError):
+            ops.exact_divide(g, f, fp.lex())
+    with pytest.raises(fp.FieldPolyError):
+        ops.colon(gb.ideal(S, [S.parse("x*y")]), R.parse("x"), fp.lex())
 
 
 # -- saturate --------------------------------------------------------------------
