@@ -15,15 +15,22 @@ basis agrees at two consecutive degrees.
 
 ``monomial_ideal_intersection_lcm`` checks monomial-ideal intersection
 against the pairwise-lcm formula.
+
+``parse_polynomial`` is the reference polynomial parser: a recursive-descent
+parser that builds every atom as a ``Polynomial`` and combines them with ring
+arithmetic (``**``, ``*``, ``+``, ``-``), over its own tokenizer.  The
+library's parser must agree with it on every input, result and error alike.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from frobsplit.field_poly import FieldPolyError, Polynomial, RingContext
+from frobsplit.field_poly import MAX_NESTING, FieldPolyError, ParseError, Polynomial, RingContext
 from frobsplit.groebner import MonomialIdeal
 
 
@@ -167,3 +174,144 @@ def monomial_ideal_intersection_lcm(A: MonomialIdeal, B: MonomialIdeal) -> Monom
         raise FieldPolyError("ideals from different rings")
     gens = [a.lcm(b) for a in A.generators for b in B.generators]
     return MonomialIdeal(A.ring, tuple(gens))
+
+
+# -- reference polynomial parser ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident", "int" or the operator character itself
+    value: str
+    line: int
+    column: int
+
+
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-+*^();:=,]|#[^\n]*|[ \t\r]+|\n")
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if lexeme == "\n":
+            line += 1
+            col = 1
+        elif lexeme[0] in " \t\r" or lexeme[0] == "#":
+            col += len(lexeme)
+        else:
+            if lexeme[0].isdigit():
+                kind = "int"
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                kind = "ident"
+            else:
+                kind = lexeme
+            tokens.append(Token(kind, lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    return tokens
+
+
+class TokenStream:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
+            raise ParseError("unexpected end of input", last.line, last.column + len(last.value))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.line, tok.column)
+        return tok
+
+
+def parse_polynomial_stream(ring: RingContext, ts: TokenStream) -> Polynomial:
+    """Parse one polynomial expression from a token stream.
+
+    Stops before any token that cannot continue the expression (e.g. ``;`` or
+    ``,``), which lets problem-file parsing reuse this routine.  Parentheses
+    nest at most ``MAX_NESTING`` deep.
+    """
+    depth = 0
+
+    def parse_atom() -> Polynomial:
+        nonlocal depth
+        tok = ts.next()
+        if tok.kind == "int":
+            return ring.constant(int(tok.value))
+        if tok.kind == "ident":
+            if tok.value not in ring.names:
+                raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
+            return ring.variable(ring.names.index(tok.value))
+        if tok.kind == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
+            depth += 1
+            f = parse_expr()
+            ts.expect(")")
+            depth -= 1
+            return f
+        raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.column)
+
+    def parse_factor() -> Polynomial:
+        base = parse_atom()
+        tok = ts.peek()
+        if tok is not None and tok.kind == "^":
+            ts.next()
+            exp = ts.expect("int")
+            return base ** int(exp.value)
+        return base
+
+    def parse_term() -> Polynomial:
+        f = parse_factor()
+        while True:
+            tok = ts.peek()
+            if tok is not None and tok.kind == "*":
+                ts.next()
+                f = f * parse_factor()
+            else:
+                return f
+
+    def parse_expr() -> Polynomial:
+        tok = ts.peek()
+        negate = False
+        if tok is not None and tok.kind == "-":
+            ts.next()
+            negate = True
+        f = parse_term()
+        if negate:
+            f = -f
+        while True:
+            tok = ts.peek()
+            if tok is None or tok.kind not in ("+", "-"):
+                return f
+            ts.next()
+            g = parse_term()
+            f = f + g if tok.kind == "+" else f - g
+
+    return parse_expr()
+
+
+def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
+    """Parse a whole polynomial text, as ``RingContext.parse`` does."""
+    ts = TokenStream(tokenize(text))
+    f = parse_polynomial_stream(ring, ts)
+    tok = ts.peek()
+    if tok is not None:
+        raise ParseError(f"unexpected {tok.value!r} after polynomial", tok.line, tok.column)
+    return f

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from frobsplit import field_poly as fp
 
+import oracle
+from conftest import random_polynomial
+
 
 # -- ring construction ---------------------------------------------------------
 
@@ -328,6 +331,95 @@ def test_parse_errors_carry_positions():
         R.parse("x ^ x")
     with pytest.raises(fp.ParseError):
         R.parse("(x")
+
+
+def test_canonical_text_parses_back():
+    orders = [
+        fp.lex(),
+        fp.grevlex(),
+        fp.weight_order((3, 1, 2, 1), "lex"),
+        fp.weight_order((1, 2, 1, 5), "grevlex"),
+    ]
+    for p in (2, 3, 5, 32003):
+        rng = random.Random(p)
+        R = fp.ring_new(p, ["x", "y", "z", "w"])
+        for _ in range(40):
+            f = random_polynomial(rng, R, 6, max_terms=12)
+            for order in orders:
+                assert R.parse(f.text(order)) == f
+
+
+# Operands of the differential test: known and unknown variables, coefficients
+# below and above p, and exponents at and just past MAX_EXPONENT (2^31 - 1).
+_ATOMS = ("x", "y", "0", "2", "7", "12", "98765432109876543210")
+_EXPONENTS = ("0", "1", "2", "5", "1073741824", "2147483647", "2147483648", "4294967296")
+# Tokens a mutation inserts: every operator, an unknown variable, whitespace,
+# a comment, and characters outside the grammar.
+_NOISE = ("(", ")", "^", "-", "+", "*", ";", ",", "=", "w", "3", "2147483648",
+          " ", "\t", "\n", "# note\n", "$", "\u00e9")
+
+
+def _random_expression(rng, depth=0) -> list[str]:
+    toks = ["-"] if rng.random() < 0.3 else []
+    for k in range(rng.randint(1, 3)):
+        if k:
+            toks.append(rng.choice("+-"))
+        for j in range(rng.randint(1, 3)):
+            if j:
+                toks.append("*")
+            if depth < 3 and rng.random() < 0.2:
+                toks += ["(", *_random_expression(rng, depth + 1), ")"]
+                if rng.random() < 0.3:
+                    toks += ["^", rng.choice("0123")]
+            else:
+                toks.append(rng.choice(_ATOMS))
+                if rng.random() < 0.3:
+                    toks += ["^", rng.choice(_EXPONENTS)]
+    return toks
+
+
+def _random_parser_input(rng) -> str:
+    toks = _random_expression(rng)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i = rng.randrange(len(toks) + 1)
+        action = rng.random()
+        if action < 0.4:
+            toks.insert(i, rng.choice(_NOISE))
+        elif i < len(toks) and action < 0.7:
+            del toks[i]
+        elif i < len(toks):
+            toks[i] = rng.choice(_NOISE)
+    # a parenthesised base takes only small exponents, or both parsers would
+    # expand a huge power before reaching MAX_EXPONENT
+    solid = []
+    for i, t in enumerate(toks):
+        if t.isdigit() and len(solid) >= 2 and [toks[j] for j in solid[-2:]] == [")", "^"]:
+            toks[i] = t = "3" if int(t) > 3 else t
+        if t.strip() and not t.startswith("#"):
+            solid.append(i)
+    text = toks[0] if toks else ""
+    for a, b in zip(toks, toks[1:]):
+        text += (" " if a[-1].isalnum() and b[0].isalnum() else "") + b
+    return text
+
+
+def _parse_outcome(parse, ring, text):
+    try:
+        return parse(ring, text)
+    except fp.ExponentOverflowError:
+        return fp.ExponentOverflowError  # the exponent the message names may differ
+    except fp.FieldPolyError as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_agrees_with_reference_parser():
+    rng = random.Random(9)
+    for p in (2, 5, 32003):
+        R = fp.ring_new(p, ["x", "y"])
+        for _ in range(2000):
+            text = _random_parser_input(rng)
+            expected = _parse_outcome(oracle.parse_polynomial, R, text)
+            assert _parse_outcome(fp.RingContext.parse, R, text) == expected, text
 
 
 def test_parens_and_products():
