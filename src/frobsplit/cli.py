@@ -29,6 +29,7 @@ from .field_poly import (
     RingContext,
     TokenStream,
     grevlex,
+    int_value,
     parse_order,
     parse_polynomial_stream,
     tokenize,
@@ -96,10 +97,8 @@ def parse_problem(text: str) -> ProblemFile:
     ring: RingContext | None = None
     order: MonomialOrder | None = None
     weights: tuple | None = None
-    # tokens of a weight order, the weight line and each witness name, checked
-    # against the ring and the ideals at the end
+    # tokens of a weight order and the weight line, checked against the ring at the end
     order_at = weights_at = None
-    witness_at: dict = {}
     ideals: dict[str, IdealPresentation] = {}
     witnesses: dict[str, Polynomial] = {}
 
@@ -122,7 +121,7 @@ def parse_problem(text: str) -> ProblemFile:
         return items
 
     def integer() -> int:
-        return int(ts.expect("int").value)
+        return int_value(ts.expect("int"))
 
     while True:
         tok = ts.peek()
@@ -185,7 +184,10 @@ def parse_problem(text: str) -> ProblemFile:
         elif tok.value == "witness":
             r = need_ring(tok)
             name = ts.expect("ident").value
-            witness_at[name] = tok
+            if name in witnesses:
+                raise ParseError(f"duplicate witness for ideal {name!r}", tok.line, tok.column)
+            if name not in ideals:
+                raise ParseError(f"witness for undeclared ideal {name!r}", tok.line, tok.column)
             ts.expect(":")
             witnesses[name] = parse_polynomial_stream(r, ts)
             ts.expect(";")
@@ -202,9 +204,6 @@ def parse_problem(text: str) -> ProblemFile:
                 validate_weights(ring, ws)
             except FieldPolyError as exc:
                 raise ParseError(str(exc), at.line, at.column) from None
-    for name, at in witness_at.items():
-        if name not in ideals:
-            raise ParseError(f"witness for undeclared ideal {name!r}", at.line, at.column)
     return ProblemFile(ring, order, ideals, witnesses, weights)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 LT, EQ, GT = -1, 0, 1
 
@@ -29,7 +30,7 @@ LT, EQ, GT = -1, 0, 1
 # primality stays a cheap deterministic check.
 MAX_EXPONENT = 2**31 - 1
 MAX_MODULUS = 2**31 - 1
-# The polynomial parser recurses once per open parenthesis (four frames per
+# The polynomial parser recurses once per open parenthesis (two frames per
 # level); deeper input is rejected with a ParseError well before Python's
 # recursion limit would turn it into a crash.
 MAX_NESTING = 100
@@ -621,42 +622,43 @@ def parse_order(text: str) -> MonomialOrder:
 # -- tokenizer and polynomial parser -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int" or the operator character itself
     value: str
     line: int
     column: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-+*^();:=,]|#[^\n]*|[ \t\r]+|\n")
+_TOKEN_RE = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<op>[-+*^();:=,])"
+    r"|(?P<newline>\n)|(?P<blank>#[^\n]*|[ \t\r]+)|(?P<bad>.)"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if lexeme == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-        elif lexeme[0] in " \t\r" or lexeme[0] == "#":
-            col += len(lexeme)
-        else:
-            if lexeme[0].isdigit():
-                kind = "int"
-            elif lexeme[0].isalpha() or lexeme[0] == "_":
-                kind = "ident"
-            else:
-                kind = lexeme
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
+            line_start = m.end()
+            continue
+        value = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, m.start() - line_start + 1)
+        tokens.append(Token(value if kind == "op" else kind, value, line, m.start() - line_start + 1))
     return tokens
+
+
+def int_value(tok: Token) -> int:
+    """The value of an integer literal; one too long to convert is a ParseError at it."""
+    try:
+        return int(tok.value)
+    except ValueError:  # longer than the interpreter's integer-string limit
+        raise ParseError(f"integer literal too long ({len(tok.value)} digits)", tok.line, tok.column) from None
 
 
 class TokenStream:
@@ -688,62 +690,86 @@ def parse_polynomial_stream(ring: RingContext, ts: TokenStream) -> Polynomial:
     Stops before any token that cannot continue the expression (e.g. ``;`` or
     ``,``), which lets problem-file parsing reuse this routine.  Parentheses
     nest at most ``MAX_NESTING`` deep.
+
+    Each term is one coefficient and one exponent list, added into one dict
+    per expression; only parenthesised factors use ``Polynomial`` arithmetic.
+    Results and errors are those of left-to-right ring arithmetic (see
+    "Parsing" in ``docs/notes.md``).
     """
+    p, n = ring.p, ring.n
+    index = {name: i for i, name in enumerate(ring.names)}
     depth = 0
 
-    def parse_atom() -> Polynomial:
-        nonlocal depth
-        tok = ts.next()
-        if tok.kind == "int":
-            return ring.constant(int(tok.value))
-        if tok.kind == "ident":
-            if tok.value not in ring.names:
-                raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
-            return ring.variable(ring.names.index(tok.value))
-        if tok.kind == "(":
-            if depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
-            depth += 1
-            f = parse_expr()
-            ts.expect(")")
-            depth -= 1
-            return f
-        raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.column)
-
-    def parse_factor() -> Polynomial:
-        base = parse_atom()
+    def power() -> int:
         tok = ts.peek()
         if tok is not None and tok.kind == "^":
             ts.next()
-            exp = ts.expect("int")
-            return base ** int(exp.value)
-        return base
+            return int_value(ts.expect("int"))
+        return 1
 
-    def parse_term() -> Polynomial:
-        f = parse_factor()
+    def parse_term() -> tuple[int, list, Polynomial | None]:
+        """Coefficient, exponent list and product of the parenthesised factors (or None)."""
+        nonlocal depth
+        c, e, P, top = 1, [0] * n, None, [0] * n  # top: P's highest exponent per variable
         while True:
-            tok = ts.peek()
-            if tok is not None and tok.kind == "*":
-                ts.next()
-                f = f * parse_factor()
+            tok = ts.next()
+            live = c and (P is None or P)  # no zero factor so far
+            if tok.kind == "int":
+                c = c * pow(int_value(tok), power(), p) % p
+            elif tok.kind == "ident":
+                i = index.get(tok.value)
+                if i is None:
+                    raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
+                k = power()
+                if k > MAX_EXPONENT:
+                    raise ExponentOverflowError(f"exponent {k} exceeds MAX_EXPONENT")
+                e[i] += k
+                if live and e[i] + top[i] > MAX_EXPONENT:
+                    raise ExponentOverflowError(f"exponent {e[i] + top[i]} exceeds MAX_EXPONENT")
+            elif tok.kind == "(":
+                if depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
+                depth += 1
+                sub = parse_expr()
+                ts.expect(")")
+                depth -= 1
+                k = power()
+                sub = sub if k == 1 else sub**k
+                if live:
+                    P = sub if P is None else P * sub
+                    if P:
+                        top = [max(col) for col in zip(*P._coeffs)]
+                        _check_growth((map(int.__add__, e, top),))
             else:
-                return f
+                raise ParseError(f"expected a term, found {tok.value!r}", tok.line, tok.column)
+            tok = ts.peek()
+            if tok is None or tok.kind != "*":
+                return c, e, P
+            ts.next()
 
     def parse_expr() -> Polynomial:
+        acc: dict[tuple, int] = {}
+        sign = 1
         tok = ts.peek()
-        negate = False
         if tok is not None and tok.kind == "-":
             ts.next()
-            negate = True
-        f = parse_term()
-        if negate:
-            f = -f
+            sign = -1
         while True:
+            c, e, P = parse_term()
+            if P is None:
+                terms = ((tuple(e), c),) if c else ()
+            else:
+                terms = P.multiply_monomial(Monomial(ring, tuple(e)), c)._coeffs.items()
+            for m, v in terms:
+                v = (acc.get(m, 0) + sign * v) % p
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
             tok = ts.peek()
             if tok is None or tok.kind not in ("+", "-"):
-                return f
+                return Polynomial(ring, acc)
             ts.next()
-            g = parse_term()
-            f = f + g if tok.kind == "+" else f - g
+            sign = 1 if tok.kind == "+" else -1
 
     return parse_expr()

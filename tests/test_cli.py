@@ -325,6 +325,28 @@ def test_error_exit_codes(tmp_path):
         code, payload = run_json(["homogenize", str(short)])
         assert code == 2 and payload["error"]["type"] == "ParseError"
         assert payload["error"]["message"] == f"{message} (line 3, column 3)"
+    # a witness before its ideal, or a second one for the same ideal, is
+    # reported at its own first token when it is read
+    for text, message in (
+        ("  witness I: a;\nideal I: a*b;\n", "witness for undeclared ideal 'I' (line 2, column 3)"),
+        ("ideal I: a*b; witness I: a;\n  witness I: b;\n", "duplicate witness for ideal 'I' (line 3, column 3)"),
+    ):
+        short.write_text(f"ring: p=5; vars=a,b,c\n{text}")
+        code, payload = run_json(["homogenize", str(short)])
+        assert code == 2 and payload["error"]["type"] == "ParseError"
+        assert payload["error"]["message"] == message
+    # integer literals too long for the interpreter to convert are a syntax
+    # error at the literal: a coefficient, an exponent, a modulus
+    digits = "7" * 5000
+    short.write_text(f"ring: p={digits}; vars=a\n")
+    for args, where in (
+        (["nf", F2X2, "--poly", digits], "line 1, column 1"),
+        (["nf", F2X2, "--poly", f"x2 + x1^{digits}"], "line 1, column 9"),
+        (["gb", str(short)], "line 1, column 9"),
+    ):
+        code, payload = run_json(args)
+        assert code == 2 and payload["error"]["type"] == "ParseError"
+        assert payload["error"]["message"] == f"integer literal too long (5000 digits) ({where})"
     # malformed certificate files: no fields, not an object, a step lacking an argument, too deep
     cert = tmp_path / "cert.json"
     assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0

@@ -349,6 +349,20 @@ def test_canonical_text_parses_back():
                 assert R.parse(f.text(order)) == f
 
 
+def test_parsing_canonical_text_multiplies_no_polynomials(monkeypatch):
+    R = fp.ring_new(32003, [f"x{i}" for i in range(1, 7)])
+    rng = random.Random(2000)
+    coeffs = {}
+    while len(coeffs) < 2000:
+        coeffs[tuple(rng.randint(0, 5) for _ in range(6))] = rng.randint(1, 32002)
+    f = R.polynomial(coeffs)
+    calls = []
+    mul = fp.Polynomial.__mul__
+    monkeypatch.setattr(fp.Polynomial, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert R.parse(f.text()) == f
+    assert calls == []
+
+
 # Operands of the differential test: known and unknown variables, coefficients
 # below and above p, and exponents at and just past MAX_EXPONENT (2^31 - 1).
 _ATOMS = ("x", "y", "0", "2", "7", "12", "98765432109876543210")
