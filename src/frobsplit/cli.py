@@ -241,7 +241,6 @@ class Context:
     """One invocation's inputs, resolved before the handler runs."""
 
     args: argparse.Namespace
-    budget: Budget
     problem: ProblemFile | None = None  # None for verify-cert
     name: str | None = None  # the --ideal name and its ideal, for commands that take it
     ideal: IdealPresentation | None = None
@@ -276,7 +275,7 @@ def _budget_pairs(args) -> int:
 
 def _context(args) -> Context:
     """Resolve what the handlers share; input errors surface in the order below."""
-    ctx = Context(args, Budget(max_pairs=_budget_pairs(args)))
+    ctx = Context(args)
     if "problem" not in args:
         return ctx
     pf = ctx.problem = parse_problem(_read(args.problem, "problem"))
@@ -334,7 +333,7 @@ def _certificate(ctx: Context, res, fields: dict, headline: str, exit_code: int 
         human = f"no certificate: {res.reason}\n  details: {json.dumps(res.details)}"
         return Outcome(1, human, {**fields, "not_found": asdict(res)})
     out = ctx.args.out
-    verified = criteria.verify_certificate(res, ctx.budget) if ctx.args.verify else None
+    verified = criteria.verify_certificate(res) if ctx.args.verify else None
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -354,7 +353,7 @@ def _certificate(ctx: Context, res, fields: dict, headline: str, exit_code: int 
 
 def cmd_gb(ctx: Context) -> Outcome:
     o = ctx.order
-    basis = [g.text(o) for g in reduced_gb(ctx.ideal, o, ctx.budget).elements]
+    basis = [g.text(o) for g in reduced_gb(ctx.ideal, o).elements]
     human = [f"reduced Groebner basis of {ctx.name} ({len(basis)} elements, order {o.text()}):"]
     human += [f"  {t}" for t in basis]
     return Outcome(0, "\n".join(human), {"ideal": ctx.name, "order": o.text(), "basis": basis})
@@ -362,14 +361,14 @@ def cmd_gb(ctx: Context) -> Outcome:
 
 def cmd_nf(ctx: Context) -> Outcome:
     f, o = ctx.poly, ctx.order
-    gb = reduced_gb(ctx.ideal, o, ctx.budget)
+    gb = reduced_gb(ctx.ideal, o)
     r = normal_form(f, gb.elements, o) if gb.elements else f
     result = {"ideal": ctx.name, "poly": f.text(o), "normal_form": r.text(o)}
     return Outcome(0, f"normal form of {f.text(o)} modulo {ctx.name}: {r.text(o)}", result)
 
 
 def cmd_initial(ctx: Context) -> Outcome:
-    M = initial_ideal(ctx.ideal, ctx.order, ctx.budget)
+    M = initial_ideal(ctx.ideal, ctx.order)
     gens = [m.text() for m in M.generators]
     sqf = M.is_squarefree()
     human = [f"initial ideal of {ctx.name} (order {ctx.order.text()}):"]
@@ -378,7 +377,7 @@ def cmd_initial(ctx: Context) -> Outcome:
 
 
 def cmd_member(ctx: Context) -> Outcome:
-    ok = member(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    ok = member(ctx.poly, ctx.ideal, ctx.order)
     f = ctx.poly.text(ctx.order)
     return _verdict(f"{f} in {ctx.name}", ok, {"ideal": ctx.name, "poly": f, "member": ok})
 
@@ -390,7 +389,7 @@ def cmd_intersect(ctx: Context) -> Outcome:
         raise InputError("--ideals expects two comma-separated names" if spec
                          else "need two ideals in the problem file")
     (na, A), (nb, B) = [ctx.problem.ideal(n.strip()) for n in names]
-    R = ideal_ops.intersect(A, B, ctx.order, ctx.budget)
+    R = ideal_ops.intersect(A, B, ctx.order)
     return _listing(ctx, f"{na} ∩ {nb}:", R, {"ideals": [na, nb]})
 
 
@@ -398,10 +397,10 @@ def cmd_colon(ctx: Context) -> Outcome:
     args, o = ctx.args, ctx.order
     if args.by_ideal:
         by, J = ctx.problem.ideal(args.by_ideal)
-        R = ideal_ops.colon_ideal(ctx.ideal, J, o, ctx.budget)
+        R = ideal_ops.colon_ideal(ctx.ideal, J, o)
     elif args.by:
         f = ctx.problem.ring.parse(args.by)
-        R = ideal_ops.colon(ctx.ideal, f, o, ctx.budget)
+        R = ideal_ops.colon(ctx.ideal, f, o)
         by = f.text(o)
     else:
         raise InputError("colon needs --by POLY or --by-ideal NAME")
@@ -411,7 +410,7 @@ def cmd_colon(ctx: Context) -> Outcome:
 def cmd_saturate(ctx: Context) -> Outcome:
     o = ctx.order
     f = ctx.problem.ring.parse(ctx.args.by)
-    R = ideal_ops.saturate(ctx.ideal, f, o, ctx.budget)
+    R = ideal_ops.saturate(ctx.ideal, f, o)
     k = R.provenance["saturation_exponent"]
     head = f"{ctx.name} : ({f.text(o)})^inf  [stabilized after {k} colon steps]"
     return _listing(ctx, head, R, {"ideal": ctx.name, "by": f.text(o)}, saturation_exponent=k)
@@ -431,7 +430,7 @@ def cmd_bracket_power(ctx: Context) -> Outcome:
 def cmd_symbolic(ctx: Context) -> Outcome:
     m, o = ctx.args.m, ctx.order
     g = _witness(ctx, ctx.name)
-    R = ideal_ops.symbolic_power_prime(ctx.ideal, m, g, o, ctx.budget)
+    R = ideal_ops.symbolic_power_prime(ctx.ideal, m, g, o)
     head = f"{ctx.name}^({m}) relative to witness {g.text(o)}:"
     fields = {"ideal": ctx.name, "m": m, "witness": g.text(o)}
     return _listing(ctx, head, R, fields, saturation_exponent=R.provenance["saturation_exponent"])
@@ -439,7 +438,7 @@ def cmd_symbolic(ctx: Context) -> Outcome:
 
 def cmd_homogenize(ctx: Context) -> Outcome:
     w = ctx.problem.weights
-    H = ideal_ops.homogenize_w(ctx.ideal, w, ctx.order, ctx.budget)
+    H = ideal_ops.homogenize_w(ctx.ideal, w, ctx.order)
     head = f"weight homogenization of {ctx.name} (weights {','.join(map(str, w))}, "
     head += f"new variable {H.ring.names[-1]}):"
     fields = {"ideal": ctx.name, "weights": list(w), "variables": list(H.ring.names)}
@@ -447,13 +446,13 @@ def cmd_homogenize(ctx: Context) -> Outcome:
 
 
 def cmd_fibers(ctx: Context) -> Outcome:
-    cert = criteria.deformation_fibers(ctx.ideal, ctx.problem.weights, ctx.order, ctx.budget)
+    cert = criteria.deformation_fibers(ctx.ideal, ctx.problem.weights, ctx.order)
     headline = f"deformation fibers of {ctx.name}: both checks passed"
     return _certificate(ctx, cert, {"ideal": ctx.name}, headline)
 
 
 def cmd_dim(ctx: Context) -> Outcome:
-    M = initial_ideal(ctx.ideal, ctx.order, ctx.budget)
+    M = initial_ideal(ctx.ideal, ctx.order)
     dim = ideal_ops.monomial_dimension(M)
     height = ctx.problem.ring.n - dim
     gens = [m.text() for m in M.generators]
@@ -485,26 +484,26 @@ def cmd_is_splitting(ctx: Context) -> Outcome:
 
 
 def cmd_fedder(ctx: Context) -> Outcome:
-    ok = frobenius.fedder_membership(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    ok = frobenius.fedder_membership(ctx.poly, ctx.ideal, ctx.order)
     f, name = ctx.poly.text(ctx.order), ctx.name
     return _verdict(f"{f} in {name}^[p] : {name}", ok, {"ideal": name, "poly": f, "member": ok})
 
 
 def cmd_compatible(ctx: Context) -> Outcome:
-    ok = frobenius.compatible_check(ctx.poly, ctx.ideal, ctx.order, ctx.budget)
+    ok = frobenius.compatible_check(ctx.poly, ctx.ideal, ctx.order)
     f, name = ctx.poly.text(ctx.order), ctx.name
     return _verdict(f"({f} * trace)({name}) ⊆ {name}", ok, {"ideal": name, "poly": f, "compatible": ok})
 
 
 def cmd_fsplit(ctx: Context) -> Outcome:
-    cert = criteria.fsplit_certificate(ctx.ideal, ctx.order, ctx.budget)
+    cert = criteria.fsplit_certificate(ctx.ideal, ctx.order)
     split = cert.conclusion["f_split"]
     headline = f"S/{ctx.name} F-split: {split}"
     return _certificate(ctx, cert, {"ideal": ctx.name}, headline, 0 if split else 1)
 
 
 def cmd_charp_cert(ctx: Context) -> Outcome:
-    res = criteria.charp_certificate(ctx.ideal, ctx.order, ctx.budget)
+    res = criteria.charp_certificate(ctx.ideal, ctx.order)
     return _certificate(ctx, res, {"ideal": ctx.name}, f"certificate found for {ctx.name}")
 
 
@@ -512,7 +511,7 @@ def cmd_symb_cert(ctx: Context) -> Outcome:
     pf, spec = ctx.problem, ctx.args.ideals
     names = [n.strip() for n in spec.split(",")] if spec else list(pf.ideals)
     primes = [(pf.ideal(n)[1], _witness(ctx, n)) for n in names]
-    res = criteria.symb_certificate(primes, ctx.order, ctx.budget)
+    res = criteria.symb_certificate(primes, ctx.order)
     headline = f"certificate found for intersection of {', '.join(names)}"
     return _certificate(ctx, res, {"ideals": names}, headline)
 
@@ -521,9 +520,9 @@ def cmd_verify_cert(ctx: Context) -> Outcome:
     text = _read(ctx.args.certificate, "certificate")
     try:
         cert = criteria.Certificate.from_json(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep to decode
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, too deep nesting
         raise InputError(f"invalid certificate JSON: {exc}") from None
-    report = criteria.replay(cert, ctx.budget)
+    report = criteria.replay(cert)
     steps = [
         {"index": s.index, "op": s.op, "recorded_ok": s.recorded_ok, "recomputed_ok": s.recomputed_ok}
         for s in report.steps
@@ -634,7 +633,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        outcome = _COMMANDS[args.command][0](_context(args))
+        with Budget(_budget_pairs(args)):  # one pair count for the whole command
+            outcome = _COMMANDS[args.command][0](_context(args))
     except UsageError as exc:
         # under --json a known subcommand reports its usage errors in the envelope
         command = next((a for a in argv if not a.startswith("-")), None)

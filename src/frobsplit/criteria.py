@@ -43,7 +43,6 @@ from .field_poly import (
     validate_weights,
 )
 from .groebner import (
-    Budget,
     IdealPresentation,
     MonomialIdeal,
     ideals_equal,
@@ -125,8 +124,8 @@ def _digest(order_text: str, entry: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _intersection(ideals: list, order, budget: Budget | None) -> IdealPresentation:
-    return functools.reduce(lambda A, B: intersect(A, B, order, budget), ideals)
+def _intersection(ideals: list, order) -> IdealPresentation:
+    return functools.reduce(lambda A, B: intersect(A, B, order), ideals)
 
 
 def _step(op: str, args: dict, expect: dict) -> dict:
@@ -310,16 +309,14 @@ _FIELDS = {
 # -- producers -------------------------------------------------------------------
 
 
-def charp_certificate(
-    I: IdealPresentation, order, budget: Budget | None = None
-) -> Certificate | NotFound:
+def charp_certificate(I: IdealPresentation, order) -> Certificate | NotFound:
     """Squarefree-initial-ideal certificate through the Fedder colon."""
     ring = I.ring
     if I.is_zero:
         raise FieldPolyError("the zero ideal has no Fedder colon")
     top = top_monomial(ring)
-    C = fedder_colon(I, order, budget)
-    gbC = reduced_gb(C, order, budget)
+    C = fedder_colon(I, order)
+    gbC = reduced_gb(C, order)
     in_c = [g.leading_monomial(order) for g in gbC.elements]
     hit = next((g for g in gbC.elements if g.leading_monomial(order).divides(top)), None)
     if hit is None:
@@ -327,7 +324,7 @@ def charp_certificate(
             "no minimal generator of the initial ideal of I^[p] : I divides the top monomial",
             {"initial_generators": [m.text() for m in in_c], "target": top.text()},
         )
-    gbI = reduced_gb(I, order, budget)
+    gbI = reduced_gb(I, order)
     leads = [g.leading_monomial(order) for g in gbI.elements]
     if not all(m.is_squarefree() for m in leads):
         raise SoundnessError(
@@ -341,9 +338,7 @@ def charp_certificate(
     return _certificate("CharP", ring, order, ideals, witness, values)
 
 
-def symb_certificate(
-    primes, order, budget: Budget | None = None
-) -> Certificate | NotFound:
+def symb_certificate(primes, order) -> Certificate | NotFound:
     """Squarefree-initial-ideal certificate through symbolic powers.
 
     ``primes`` is a sequence of (prime presentation, witness) pairs; the
@@ -362,17 +357,17 @@ def symb_certificate(
     names = [f"P{i + 1}" for i in range(len(primes))]
     values = []  # per prime: initial generators, dimension, height
     for name, (P, g) in zip(names, primes):
-        if member(g, P, order, budget):
+        if member(g, P, order):
             raise InconsistentInputError(
                 f"witness for {name} lies inside the prime it must avoid"
             )
-        in_p = MonomialIdeal(ring, tuple(reduced_gb(P, order, budget).leading_monomials()))
+        in_p = MonomialIdeal(ring, tuple(reduced_gb(P, order).leading_monomials()))
         dim = monomial_dimension(in_p)
         values += [[m.text() for m in in_p.generators], dim, ring.n - dim]
     h = max(values[2::3])
 
-    symbolic_powers = [symbolic_power_prime(P, h, g, order, budget) for P, g in primes]
-    gb_ih = reduced_gb(_intersection(symbolic_powers, order, budget), order, budget)
+    symbolic_powers = [symbolic_power_prime(P, h, g, order) for P, g in primes]
+    gb_ih = reduced_gb(_intersection(symbolic_powers, order), order)
     hit = next((f for f in gb_ih.elements if f.leading_monomial(order).is_squarefree()), None)
     if hit is None:
         return NotFound(
@@ -380,7 +375,7 @@ def symb_certificate(
             {"height": h, "leading_monomials": [m.text() for m in gb_ih.leading_monomials()]},
         )
 
-    gb_rad = reduced_gb(_intersection([P for P, _ in primes], order, budget), order, budget)
+    gb_rad = reduced_gb(_intersection([P for P, _ in primes], order), order)
     leads = [g.leading_monomial(order) for g in gb_rad.elements]
     if not all(m.is_squarefree() for m in leads):
         raise InconsistentInputError(
@@ -390,7 +385,7 @@ def symb_certificate(
 
     ideals = {name: P for name, (P, _) in zip(names, primes)}
     for name, Q in zip(names, symbolic_powers):
-        ideals[f"{name}_symb"] = IdealPresentation(ring, reduced_gb(Q, order, budget).elements)
+        ideals[f"{name}_symb"] = IdealPresentation(ring, reduced_gb(Q, order).elements)
     ideals["I_symb"] = IdealPresentation(ring, gb_ih.elements)
     ideals["I"] = IdealPresentation(ring, gb_rad.elements)
     witness = {
@@ -402,18 +397,16 @@ def symb_certificate(
     return _certificate("Symb", ring, order, ideals, witness, values + [[m.text() for m in leads]])
 
 
-def deformation_fibers(
-    I: IdealPresentation, weights, order, budget: Budget | None = None
-) -> Certificate:
+def deformation_fibers(I: IdealPresentation, weights, order) -> Certificate:
     """Certificate that the weight homogenization has the two expected fibers."""
     ring = I.ring
     weights = validate_weights(ring, weights)
     worder = order_for_weight_refinement(weights, order)
-    gb_w = reduced_gb(I, worder, budget)
-    H = homogenize_w(I, weights, order, budget)
-    in_w = initial_forms_ideal(I, weights, order, budget)
-    ok_zero = ideals_equal(fiber_at_zero(H), in_w, order, budget)
-    ok_one = ideals_equal(dehomogenize_ideal(H), I, order, budget)
+    gb_w = reduced_gb(I, worder)
+    H = homogenize_w(I, weights, order)
+    in_w = initial_forms_ideal(I, weights, order)
+    ok_zero = ideals_equal(fiber_at_zero(H), in_w, order)
+    ok_one = ideals_equal(dehomogenize_ideal(H), I, order)
     ok_hom = all(is_weight_homogeneous(F, weights) for F in H.generators)
     if not (ok_zero and ok_one and ok_hom):
         raise SoundnessError(
@@ -422,19 +415,17 @@ def deformation_fibers(
         )
 
     ideals = {"I": I, "W": IdealPresentation(ring, gb_w.elements), "InW": in_w, "H": H}
-    special_fiber = [g.text(order) for g in reduced_gb(in_w, order, budget).elements]
+    special_fiber = [g.text(order) for g in reduced_gb(in_w, order).elements]
     return _certificate(
         "Deformation", ring, order, ideals, {"weights": list(weights)}, basis=lambda name: special_fiber
     )
 
 
-def fsplit_certificate(
-    I: IdealPresentation, order, budget: Budget | None = None
-) -> Certificate:
+def fsplit_certificate(I: IdealPresentation, order) -> Certificate:
     """Certificate for the graded Fedder test (either verdict)."""
     ring = I.ring
-    test = fsplit_graded_test(I, order, budget)
-    ideals = {"I": I, "C": IdealPresentation(ring, reduced_gb(test.colon, order, budget).elements)}
+    test = fsplit_graded_test(I, order)
+    ideals = {"I": I, "C": IdealPresentation(ring, reduced_gb(test.colon, order).elements)}
     witness = {"poly": test.witness.text(order)} if test.split else {}
     return _certificate("FSplit", ring, order, ideals, witness)
 
@@ -513,8 +504,7 @@ def _deviation(steps: list, obligations: list) -> str | None:
 
 
 class _ReplayContext:
-    def __init__(self, data: dict, budget: Budget | None):
-        self.budget = budget
+    def __init__(self, data: dict):
         self.ring = RingContext(data["ring"]["p"], tuple(data["ring"]["vars"]))
         self.order = parse_order(data["order"])
         rings = {"base": self.ring}
@@ -539,7 +529,7 @@ class _ReplayContext:
             raise FieldPolyError(f"certificate references unknown ideal {name!r}") from None
 
     def gb(self, name: str):
-        return reduced_gb(self.ideal(name), self.order, self.budget)
+        return reduced_gb(self.ideal(name), self.order)
 
     def basis(self, name: str) -> list[str]:
         return [g.text(self.order) for g in self.gb(name).elements]
@@ -567,12 +557,12 @@ def _monomial_dimension(ctx: _ReplayContext, a: dict) -> dict:
 # functions are looked up when called, so rebinding a module name reaches them.
 _REPLAY = {
     "note": lambda ctx, a: {},
-    "bracket_colon": lambda ctx, a: fedder_colon(ctx.ideal(a["ideal"]), ctx.order, ctx.budget),
+    "bracket_colon": lambda ctx, a: fedder_colon(ctx.ideal(a["ideal"]), ctx.order),
     "initial_generators": lambda ctx, a: {
         "monomials": [m.text() for m in ctx.gb(a["ideal"]).leading_monomials()]
     },
     "membership": lambda ctx, a: {
-        "member": member(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order, ctx.budget)
+        "member": member(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order)
     },
     "leading_monomial": lambda ctx, a: {
         "monomial": ctx.ring.parse(a["poly"]).leading_monomial(ctx.order).text()
@@ -582,18 +572,16 @@ _REPLAY = {
     "squarefree_initial": _squarefree_initial,
     "monomial_dimension": _monomial_dimension,
     "symbolic_power": lambda ctx, a: symbolic_power_prime(
-        ctx.ideal(a["ideal"]), a["m"], ctx.ring.parse(a["witness"]), ctx.order, ctx.budget
+        ctx.ideal(a["ideal"]), a["m"], ctx.ring.parse(a["witness"]), ctx.order
     ),
-    "intersection": lambda ctx, a: _intersection([ctx.ideal(n) for n in a["ideals"]], ctx.order, ctx.budget),
+    "intersection": lambda ctx, a: _intersection([ctx.ideal(n) for n in a["ideals"]], ctx.order),
     "weight_gb": lambda ctx, a: IdealPresentation(ctx.ring, reduced_gb(
-        ctx.ideal(a["ideal"]), order_for_weight_refinement(tuple(a["weights"]), ctx.order), ctx.budget
+        ctx.ideal(a["ideal"]), order_for_weight_refinement(tuple(a["weights"]), ctx.order)
     ).elements),
     "initial_forms": lambda ctx, a: initial_forms_ideal(
-        ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order, ctx.budget
+        ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order
     ),
-    "homogenize": lambda ctx, a: homogenize_w(
-        ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order, ctx.budget
-    ),
+    "homogenize": lambda ctx, a: homogenize_w(ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order),
     "fiber_zero": lambda ctx, a: fiber_at_zero(ctx.ideal(a["ideal"])),
     "dehomogenize": lambda ctx, a: dehomogenize_ideal(ctx.ideal(a["ideal"])),
     "w_homogeneous": lambda ctx, a: {
@@ -618,11 +606,11 @@ def _replay_step(ctx: _ReplayContext, step: dict) -> tuple[bool, str]:
         return got == step["expect"], f"recomputed {got}"
     name = step["expect"]["ideal_equal"]
     target = ctx.ideal(name)
-    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order, ctx.budget)
+    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order)
     return ok, f"recomputed ideal {'equals' if ok else 'differs from'} {name}"
 
 
-def replay(cert: Certificate | dict, budget: Budget | None = None) -> VerificationReport:
+def replay(cert: Certificate | dict) -> VerificationReport:
     """Hold the certificate to its kind's obligations; ``failed`` names the first miss.
 
     The recorded steps must be the obligations, the digests must match the
@@ -632,7 +620,7 @@ def replay(cert: Certificate | dict, budget: Budget | None = None) -> Verificati
     """
     data = cert.data if isinstance(cert, Certificate) else cert
     table = _validate(data)
-    ctx = _ReplayContext(data, budget)
+    ctx = _ReplayContext(data)
     obligations, outcome = table(ctx.ring, data["witness"])
     ideals, digests = data["ideals"], data["digests"]
     failed = _deviation(data["steps"], obligations) or next(
@@ -652,5 +640,5 @@ def replay(cert: Certificate | dict, budget: Budget | None = None) -> Verificati
     return VerificationReport(failed is None, steps, failed)
 
 
-def verify_certificate(cert: Certificate | dict, budget: Budget | None = None) -> bool:
-    return replay(cert, budget).ok
+def verify_certificate(cert: Certificate | dict) -> bool:
+    return replay(cert).ok

@@ -614,7 +614,11 @@ def parse_order(text: str) -> MonomialOrder:
         return grevlex()
     m = _ORDER_TEXT_RE.match(s)
     if m:
-        weights = tuple(int(x) for x in m.group(1).split(","))
+        digits = [x.strip() for x in m.group(1).split(",")]
+        try:
+            weights = tuple(map(int, digits))
+        except ValueError:  # longer than the interpreter's integer-string limit
+            raise FieldPolyError(f"weight too long ({max(map(len, digits))} digits)") from None
         return weight_order(weights, m.group(2))
     raise FieldPolyError(f"cannot parse monomial order {text!r}")
 

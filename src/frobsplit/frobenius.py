@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field_poly import FieldPolyError, Monomial, Polynomial, RingContext
-from .groebner import Budget, IdealPresentation, member, reduced_gb
+from .groebner import IdealPresentation, member, reduced_gb
 from .ideal_ops import bracket_of_variables, bracket_power, colon_ideal
 
 def trace(g: Polynomial) -> Polynomial:
@@ -104,28 +104,22 @@ def trace_iterate(f: Polynomial, g: Polynomial, n: int) -> Polynomial:
     return result
 
 
-def fedder_colon(
-    I: IdealPresentation, order, budget: Budget | None = None
-) -> IdealPresentation:
+def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     """The colon ideal I^[p] : I, cached on the presentation per order."""
     key = ("fedder_colon", order)
     cached = I._gb_cache.get(key)
     if cached is None:
-        cached = colon_ideal(bracket_power(I, 1), I, order, budget)
+        cached = colon_ideal(bracket_power(I, 1), I, order)
         I._gb_cache[key] = cached
     return cached
 
 
-def fedder_membership(
-    f: Polynomial, I: IdealPresentation, order, budget: Budget | None = None
-) -> bool:
+def fedder_membership(f: Polynomial, I: IdealPresentation, order) -> bool:
     """Whether (f * trace)(I) ⊆ I, tested as membership in I^[p] : I."""
-    return member(f, fedder_colon(I, order, budget), order, budget)
+    return member(f, fedder_colon(I, order), order)
 
 
-def compatible_check(
-    f: Polynomial, J: IdealPresentation, order, budget: Budget | None = None
-) -> bool:
+def compatible_check(f: Polynomial, J: IdealPresentation, order) -> bool:
     """Direct test that (f * trace)(J) ⊆ J on the module generators of J.
 
     As a submodule of F_*S, J is spanned over S by ``x^a * g`` for exponent
@@ -144,7 +138,7 @@ def compatible_check(
         # residues descending are the cosets a = p-1-residue ascending, so a
         # failing check stops at the same coset as the per-coset definition
         for residue in sorted(images, reverse=True):
-            if not member(Polynomial(ring, images[residue]), J, order, budget):
+            if not member(Polynomial(ring, images[residue]), J, order):
                 return False
     return True
 
@@ -161,9 +155,7 @@ class FSplitOutcome:
         return self.split
 
 
-def fsplit_graded_test(
-    I: IdealPresentation, order, budget: Budget | None = None
-) -> FSplitOutcome:
+def fsplit_graded_test(I: IdealPresentation, order) -> FSplitOutcome:
     """Graded Fedder criterion: S/I is F-split iff I^[p] : I ⊄ (x_1, ..., x_n)^[p].
 
     Requires I ⊆ (x_1, ..., x_n).  On success the witness is a reduced-basis
@@ -175,9 +167,9 @@ def fsplit_graded_test(
             raise FieldPolyError("the ideal must be contained in (x_1, ..., x_n)")
     if I.is_zero:
         return FSplitOutcome(True, ring.one(), IdealPresentation(ring, (ring.one(),)))
-    C = fedder_colon(I, order, budget)
+    C = fedder_colon(I, order)
     mbr = bracket_of_variables(ring)
-    for g in reduced_gb(C, order, budget).elements:
+    for g in reduced_gb(C, order).elements:
         if not mbr.contains_polynomial(g):
             return FSplitOutcome(True, g, C)
     return FSplitOutcome(False, None, C)

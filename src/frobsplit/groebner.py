@@ -17,11 +17,17 @@ lcm key).  The output is the unique reduced Groebner basis, so the result is
 independent of the selection strategy; a private hook lets tests randomize
 selection to check exactly that.  An ideal generated by single terms forms
 no pairs: its minimal generators, made monic, are its reduced basis.
+
+Every popped pair is charged to the active :class:`Budget`.  Inside
+``with Budget(n):`` all runs in the block draw from one count, so a chain of
+runs (a colon per generator, a saturation, a certificate and its replay) is
+bounded as a whole; a run outside any block gets a fresh ``Budget()``.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from operator import le
 
@@ -45,14 +51,28 @@ class ResourceLimitError(RuntimeError):
         self.pairs_processed = pairs_processed
 
 
-@dataclass(frozen=True)
+@dataclass
 class Budget:
-    """Caps on Buchberger work: the number of S-pairs one run may reduce."""
+    """A cap on the S-pairs Buchberger runs may reduce, and the count so far.
+
+    As a context manager it is the active budget of the block: every run in
+    the block charges its popped pairs to ``pairs`` and fails once the total
+    exceeds ``max_pairs``.
+    """
 
     max_pairs: int = DEFAULT_MAX_PAIRS
+    pairs: int = 0
+    _token: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __enter__(self) -> "Budget":
+        self._token = _ACTIVE_BUDGET.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE_BUDGET.reset(self._token)
 
 
-DEFAULT_BUDGET = Budget()
+_ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", default=None)
 
 
 # -- kernel -------------------------------------------------------------------
@@ -229,15 +249,16 @@ def _spoly_terms(fa, fb, p, keyf):
     return terms
 
 
-def _buchberger(inputs, keyf, p, budget: Budget, pair_noise=None):
+def _buchberger(inputs, keyf, p, pair_noise=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
     Pairs are installed by the Gebauer-Moeller update, so every pair left in
-    the queue is reduced when popped.  ``pair_noise`` is a test-only hook: a
-    callable mapping a pair to an extra leading component of its selection
-    key, used to scramble the strategy and exercise the uniqueness of the
-    reduced basis.
+    the queue is reduced when popped, and each is charged to the active
+    budget.  ``pair_noise`` is a test-only hook: a callable mapping a pair to
+    an extra leading component of its selection key, used to scramble the
+    strategy and exercise the uniqueness of the reduced basis.
     """
+    budget = _ACTIVE_BUDGET.get() or Budget()
     basis = []
     reducers = []
     active = []
@@ -300,20 +321,17 @@ def _buchberger(inputs, keyf, p, budget: Budget, pair_noise=None):
         if terms:
             install(terms)
 
-    processed = 0
     while heap:
         _, i, j, _, _ = heapq.heappop(heap)
-        processed += 1
-        if processed > budget.max_pairs:
-            raise ResourceLimitError(
-                f"pair budget of {budget.max_pairs} exceeded", processed
-            )
+        budget.pairs += 1
+        if budget.pairs > budget.max_pairs:
+            raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
         s = _spoly_terms(basis[i], basis[j], p, keyf)
         r = _reduce(s, [reducers[g] for g in active], p)
         if r:
             install(r)
 
-    return _autoreduce([basis[g] for g in active], p), processed
+    return _autoreduce([basis[g] for g in active], p)
 
 
 def _autoreduce(basis, p):
@@ -479,17 +497,11 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     return _from_terms(f.ring, r)
 
 
-def reduced_gb(
-    I: IdealPresentation,
-    order,
-    budget: Budget | None = None,
-    _pair_noise=None,
-) -> ReducedGB:
+def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal; cached per order."""
     cached = I._gb_cache.get(order)
     if cached is not None and _pair_noise is None:
         return cached
-    budget = budget or DEFAULT_BUDGET
     p = I.ring.p
     keyf = order.key
     inputs = [_to_terms(g, keyf) for g in I.generators]
@@ -497,7 +509,7 @@ def reduced_gb(
         # a monomial ideal's minimal generators are its reduced basis
         basis = _autoreduce(inputs, p)
     else:
-        basis, _ = _buchberger(inputs, keyf, p, budget, pair_noise=_pair_noise)
+        basis = _buchberger(inputs, keyf, p, pair_noise=_pair_noise)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)
@@ -533,26 +545,24 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     return Polynomial(g.ring, {e: (c * inv) % p for _, e, c in q})
 
 
-def initial_ideal(I: IdealPresentation, order, budget: Budget | None = None) -> MonomialIdeal:
+def initial_ideal(I: IdealPresentation, order) -> MonomialIdeal:
     """Monomial ideal of leading monomials, with its minimal generating set."""
-    gb = reduced_gb(I, order, budget)
+    gb = reduced_gb(I, order)
     return MonomialIdeal(I.ring, tuple(gb.leading_monomials()))
 
 
-def member(f: Polynomial, I: IdealPresentation, order, budget: Budget | None = None) -> bool:
+def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     """Ideal membership via normal form against the reduced basis."""
     if not f:
         return True
-    gb = reduced_gb(I, order, budget)
+    gb = reduced_gb(I, order)
     if not gb.elements:
         return False
     return not normal_form(f, gb.elements, order)
 
 
-def ideals_equal(
-    A: IdealPresentation, B: IdealPresentation, order, budget: Budget | None = None
-) -> bool:
+def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:
     """Equality of ideals through their unique reduced bases."""
     if A.ring != B.ring:
         raise FieldPolyError("ideals from different rings")
-    return reduced_gb(A, order, budget).elements == reduced_gb(B, order, budget).elements
+    return reduced_gb(A, order).elements == reduced_gb(B, order).elements

@@ -33,7 +33,6 @@ from .field_poly import (
     validate_weights,
 )
 from .groebner import (
-    Budget,
     IdealPresentation,
     MonomialIdeal,
     ReducedGB,
@@ -63,9 +62,7 @@ def embed(f: Polynomial, ext: RingContext) -> Polynomial:
 # -- intersection, colon, saturation -------------------------------------------
 
 
-def intersect(
-    A: IdealPresentation, B: IdealPresentation, order, budget: Budget | None = None
-) -> IdealPresentation:
+def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresentation:
     """Generators of A ∩ B by elimination of an auxiliary variable."""
     if A.ring != B.ring:
         raise FieldPolyError("ideals from different rings")
@@ -78,7 +75,7 @@ def intersect(
     gens = [t * embed(a, ext) for a in A.generators]
     gens += [one_minus_t * embed(b, ext) for b in B.generators]
     elim = EliminationOrder(order)
-    gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim, budget)
+    gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim)
     # the t-free part of a reduced elimination basis is the reduced basis of
     # the intersection for the base order; an element is t-free iff its
     # leading monomial is, so in the ascending basis those elements come first
@@ -101,9 +98,7 @@ def exact_divide(g: Polynomial, f: Polynomial, order) -> Polynomial:
     return quotient
 
 
-def colon(
-    I: IdealPresentation, f: Polynomial, order, budget: Budget | None = None
-) -> IdealPresentation:
+def colon(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
     """The colon ideal I : f = { g : g*f in I }."""
     if not f:
         raise ZeroPolynomialError("colon by the zero polynomial")
@@ -117,36 +112,32 @@ def colon(
         quotient = _quotient(I.generators[0], f, order)
         if quotient is not None:
             return presentation_from_gb(ring, [quotient], order)
-    meet = intersect(I, IdealPresentation(ring, (f,)), order, budget)
+    meet = intersect(I, IdealPresentation(ring, (f,)), order)
     divided = [exact_divide(g, f, order) for g in meet.generators]
     # quotients of a Groebner basis of I ∩ (f) by f form a Groebner basis of I : f
     return presentation_from_gb(ring, divided, order)
 
 
-def colon_ideal(
-    I: IdealPresentation, J: IdealPresentation, order, budget: Budget | None = None
-) -> IdealPresentation:
+def colon_ideal(I: IdealPresentation, J: IdealPresentation, order) -> IdealPresentation:
     """I : J as the intersection of the colons by the generators of J."""
     if J.is_zero:
         raise ZeroPolynomialError("colon by the zero ideal")
     result = None
     for g in J.generators:
-        piece = colon(I, g, order, budget)
-        result = piece if result is None else intersect(result, piece, order, budget)
+        piece = colon(I, g, order)
+        result = piece if result is None else intersect(result, piece, order)
     return result
 
 
-def saturate(
-    I: IdealPresentation, f: Polynomial, order, budget: Budget | None = None
-) -> IdealPresentation:
+def saturate(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
     """I : f^infinity, iterating the colon until the reduced bases agree."""
     if not f:
         raise ZeroPolynomialError("saturation by the zero polynomial")
     current = IdealPresentation(I.ring, I.generators)
     exponent = 0
     while True:
-        nxt = colon(current, f, order, budget)
-        if reduced_gb(nxt, order, budget).elements == reduced_gb(current, order, budget).elements:
+        nxt = colon(current, f, order)
+        if reduced_gb(nxt, order).elements == reduced_gb(current, order).elements:
             break
         current = nxt
         exponent += 1
@@ -189,13 +180,7 @@ def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     return IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
 
 
-def symbolic_power_prime(
-    P: IdealPresentation,
-    m: int,
-    witness: Polynomial,
-    order,
-    budget: Budget | None = None,
-) -> IdealPresentation:
+def symbolic_power_prime(P: IdealPresentation, m: int, witness: Polynomial, order) -> IdealPresentation:
     """m-th symbolic power of a prime, as saturation of P^m at a witness off P.
 
     The caller asserts P prime and chooses the witness; the witness is
@@ -203,11 +188,11 @@ def symbolic_power_prime(
     """
     if not witness:
         raise WitnessInPrimeError("the zero polynomial cannot witness a symbolic power")
-    if member(witness, P, order, budget):
+    if member(witness, P, order):
         raise WitnessInPrimeError(
             f"witness {witness.text(order)} lies in the prime it must avoid"
         )
-    result = saturate(power(P, m), witness, order, budget)
+    result = saturate(power(P, m), witness, order)
     result.provenance = dict(result.provenance or {})
     result.provenance.update({"symbolic_power": m, "witness": witness.text(order)})
     return result
@@ -216,9 +201,7 @@ def symbolic_power_prime(
 # -- weight homogenization --------------------------------------------------------
 
 
-def homogenize_w(
-    I: IdealPresentation, weights, order, budget: Budget | None = None
-) -> IdealPresentation:
+def homogenize_w(I: IdealPresentation, weights, order) -> IdealPresentation:
     """Weight homogenization of I in a ring extended by a degree-1 variable.
 
     Computes a Groebner basis of I under the weight order refined by the
@@ -227,7 +210,7 @@ def homogenize_w(
     """
     weights = validate_weights(I.ring, weights)
     worder = order_for_weight_refinement(weights, order)
-    gb = reduced_gb(I, worder, budget)
+    gb = reduced_gb(I, worder)
     ext = I.ring.extend()
     gens = []
     for g in gb.elements:
@@ -290,13 +273,11 @@ def fiber_at_zero(H: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(base, tuple(gens))
 
 
-def initial_forms_ideal(
-    I: IdealPresentation, weights, order, budget: Budget | None = None
-) -> IdealPresentation:
+def initial_forms_ideal(I: IdealPresentation, weights, order) -> IdealPresentation:
     """Ideal generated by the weight initial forms of a weight-order basis."""
     weights = validate_weights(I.ring, weights)
     worder = order_for_weight_refinement(weights, order)
-    gb = reduced_gb(I, worder, budget)
+    gb = reduced_gb(I, worder)
     return IdealPresentation(I.ring, tuple(g.initial_w(weights) for g in gb.elements))
 
 

@@ -347,18 +347,33 @@ def test_error_exit_codes(tmp_path):
         code, payload = run_json(args)
         assert code == 2 and payload["error"]["type"] == "ParseError"
         assert payload["error"]["message"] == f"integer literal too long (5000 digits) ({where})"
+    # ... and in an --order weight, which names the flag
+    code, payload = run_json(["gb", F2X2, "--order", f"weight({digits},1,1,1; tie=lex)"])
+    assert code == 2 and payload["error"]["type"] == "InputError"
+    assert payload["error"]["message"] == "--order: weight too long (5000 digits)"
     # malformed certificate files: no fields, not an object, a step lacking an argument, too deep
     cert = tmp_path / "cert.json"
     assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0
-    lacking = json.loads(cert.read_text())
+    cert_text = cert.read_text()
+    lacking = json.loads(cert_text)
     del lacking["steps"][2]["args"]["ideal"]
     for text in ("{}", "[1]", json.dumps(lacking)):
         cert.write_text(text)
         code, payload = run_json(["verify-cert", str(cert)])
         assert code == 2 and payload["error"]["type"] == "FieldPolyError"
-    cert.write_text("[" * 100000 + "]" * 100000)
+    # too deep to decode, or an integer too long to convert
+    assert '"p": 2,' in cert_text and '"order": "lex"' in cert_text
+    long_p = cert_text.replace('"p": 2,', f'"p": {digits},', 1)
+    for text in ("[" * 100000 + "]" * 100000, f"[{digits}]", long_p):
+        cert.write_text(text)
+        code, payload = run_json(["verify-cert", str(cert)])
+        assert code == 2 and payload["error"]["type"] == "InputError"
+        assert payload["error"]["message"].startswith("invalid certificate JSON")
+    # an order weight too long to convert is a malformed certificate
+    cert.write_text(cert_text.replace('"order": "lex"', f'"order": "weight({digits},1,1,1; tie=lex)"', 1))
     code, payload = run_json(["verify-cert", str(cert)])
-    assert code == 2 and payload["error"]["message"].startswith("invalid certificate JSON")
+    assert code == 2 and payload["error"]["type"] == "FieldPolyError"
+    assert payload["error"]["message"] == "weight too long (5000 digits)"
 
 
 def test_monomial_ideal_reduces_no_pairs(tmp_path):
@@ -368,6 +383,25 @@ def test_monomial_ideal_reduces_no_pairs(tmp_path):
     code, payload = run_json(["gb", str(mono), "--budget-pairs", "1"])
     assert code == 0
     assert payload["result"]["basis"] == ["x*z", "x*y^2", "x^2*y", "y*z^3"]
+
+
+def test_pair_budget_bounds_the_whole_command(tmp_path):
+    # pentagon fsplit reduces 2,490 S-pairs over 9 kernel runs, at most 632 in one
+    pentagon = str(FIXTURES / "pentagon_edge.prob")
+    code, payload = run_json(["fsplit", pentagon, "--budget-pairs", "2489"])
+    assert code == 3 and payload["error"] == {
+        "type": "ResourceLimitError", "message": "pair budget of 2489 exceeded"
+    }
+    assert run_json(["fsplit", pentagon, "--budget-pairs", "2490"])[0] == 1
+    # charp-cert reduces 101 pairs and the replay of its certificate 107, at
+    # most 25 in one run; --verify draws both from one budget
+    cert = str(tmp_path / "cert.json")
+    assert run_json(["charp-cert", F2X3, "--budget-pairs", "207", "--out", cert])[0] == 0
+    assert run_json(["verify-cert", cert, "--budget-pairs", "207"])[0] == 0
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "207"])
+    assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "208"])
+    assert code == 0 and payload["result"]["verified"] is True
 
 
 def test_order_override_flag():

@@ -1,10 +1,9 @@
-import io
+import functools
 import random
-from contextlib import redirect_stdout
 
 import pytest
 
-from frobsplit import cli
+from frobsplit import cli, criteria
 from frobsplit import field_poly as fp
 from frobsplit import groebner as gb
 
@@ -207,21 +206,14 @@ def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
 @pytest.mark.parametrize(
     "fixture, pairs", [("minors_2x3.prob", 99), ("pentagon_edge.prob", 2490)]
 )
-def test_fsplit_pairs_reduced_pinned(monkeypatch, fixture, pairs):
+def test_fsplit_pairs_reduced_pinned(fixture, pairs):
     # deterministic regression signal for the pair criteria: S-pairs that
-    # survive the criteria and are reduced, summed over every kernel run
-    counts = []
-    kernel = gb._buchberger
-
-    def counting(*args, **kwargs):
-        basis, processed = kernel(*args, **kwargs)
-        counts.append(processed)
-        return basis, processed
-
-    monkeypatch.setattr(gb, "_buchberger", counting)
-    with redirect_stdout(io.StringIO()):
-        cli.main(["fsplit", str(FIXTURES / fixture)])
-    assert sum(counts) == pairs
+    # survive the criteria and are reduced, summed over every kernel run of
+    # what the fsplit command computes
+    pf = cli.parse_problem((FIXTURES / fixture).read_text())
+    with gb.Budget() as budget:
+        criteria.fsplit_certificate(pf.ideal(None)[1], pf.order)
+    assert budget.pairs == pairs
 
 
 def test_gb_spolys_reduce_to_zero():
@@ -275,8 +267,27 @@ def test_gb_cache_hit_and_consistency():
 
 def test_budget_exceeded_is_distinct_error(ring5):
     I = deformed_minors_ideal(ring5)
-    with pytest.raises(gb.ResourceLimitError):
-        gb.reduced_gb(I, fp.lex(), gb.Budget(max_pairs=1))
+    with pytest.raises(gb.ResourceLimitError), gb.Budget(max_pairs=1):
+        gb.reduced_gb(I, fp.lex())
+
+
+def test_runs_in_one_budget_block_share_its_count(ring5, monkeypatch):
+    # each lex run of the deformed minors reduces 2 S-pairs; fresh
+    # presentations, so the second call is not a cache hit
+    with gb.Budget(4) as budget:
+        for _ in range(2):
+            gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
+    assert budget.pairs == 4
+    with pytest.raises(gb.ResourceLimitError, match="pair budget of 3 exceeded"):
+        with gb.Budget(3) as budget:
+            for _ in range(2):
+                gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
+    assert budget.pairs == 4
+    # outside any block every run gets a default budget of its own: with the
+    # default shrunk to one run's pairs, two runs still pass
+    monkeypatch.setattr(gb, "Budget", functools.partial(gb.Budget, max_pairs=2))
+    for _ in range(2):
+        gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
 
 
 def naive_normal_form(f, basis, order):
