@@ -44,32 +44,38 @@ DEFAULT_MAX_PAIRS = 10**6
 
 
 class ResourceLimitError(RuntimeError):
-    """The configured pair budget was exhausted (not a math failure)."""
+    """The configured pair budget was exhausted (not a math failure).
+
+    ``pairs_processed`` is the count of S-pairs charged to the active
+    :class:`Budget` when it ran out: the total over every run in the block,
+    not the pairs of the one run that failed.
+    """
 
     def __init__(self, message: str, pairs_processed: int):
         super().__init__(message)
         self.pairs_processed = pairs_processed
 
 
-@dataclass
+@dataclass(eq=False)
 class Budget:
     """A cap on the S-pairs Buchberger runs may reduce, and the count so far.
 
     As a context manager it is the active budget of the block: every run in
     the block charges its popped pairs to ``pairs`` and fails once the total
-    exceeds ``max_pairs``.
+    exceeds ``max_pairs``.  Only ``max_pairs`` is a constructor argument; a
+    budget compares by identity, and may be entered again inside its own block.
     """
 
     max_pairs: int = DEFAULT_MAX_PAIRS
-    pairs: int = 0
-    _token: object = field(default=None, init=False, repr=False, compare=False)
+    pairs: int = field(default=0, init=False)
+    _tokens: list = field(default_factory=list, init=False, repr=False)
 
     def __enter__(self) -> "Budget":
-        self._token = _ACTIVE_BUDGET.set(self)
+        self._tokens.append(_ACTIVE_BUDGET.set(self))
         return self
 
     def __exit__(self, *exc) -> None:
-        _ACTIVE_BUDGET.reset(self._token)
+        _ACTIVE_BUDGET.reset(self._tokens.pop())
 
 
 _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", default=None)

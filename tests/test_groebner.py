@@ -290,6 +290,21 @@ def test_runs_in_one_budget_block_share_its_count(ring5, monkeypatch):
         gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
 
 
+def test_budget_counts_only_and_reenters(ring5):
+    # max_pairs is the one constructor argument; a budget compares by identity
+    with pytest.raises(TypeError):
+        gb.Budget(500, 400)
+    assert gb.Budget() != gb.Budget() and len({gb.Budget(), gb.Budget()}) == 2
+    # entering the active budget again nests cleanly and keeps one count
+    budget = gb.Budget()
+    with budget:
+        with budget:
+            gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
+        assert gb._ACTIVE_BUDGET.get() is budget
+        gb.reduced_gb(deformed_minors_ideal(ring5), fp.lex())
+    assert gb._ACTIVE_BUDGET.get() is None and budget.pairs == 4
+
+
 def naive_normal_form(f, basis, order):
     """Reference division: plain Polynomial arithmetic, same reducer order."""
     remainder = f.ring.zero()
