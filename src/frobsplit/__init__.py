@@ -41,7 +41,6 @@ from .groebner import (
     member,
     normal_form,
     reduced_gb,
-    s_polynomial,
 )
 from .ideal_ops import (
     WitnessInPrimeError,

@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field as dc_field
 
 from ._version import __version__
@@ -61,6 +62,10 @@ class UsageError(InputError):
     def __init__(self, message: str, parser: argparse.ArgumentParser):
         super().__init__(message)
         self.parser = parser
+
+
+class InternalError(RuntimeError):
+    """An unexpected exception in a command: a defect of the program, not of its input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -631,6 +636,7 @@ def _emit(args, code: int, body: dict, human: str, stream) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = argparse.Namespace(command=None, json=False)  # until the command line is parsed
     try:
         args = build_parser().parse_args(argv)
         with Budget(_budget_pairs(args)):  # one pair count for the whole command
@@ -641,10 +647,13 @@ def main(argv=None) -> int:
         if "--json" not in argv or command not in _COMMANDS:
             argparse.ArgumentParser.error(exc.parser, str(exc))  # usage on stderr, exit 2
         args, code, error = argparse.Namespace(command=command, json=True), 2, exc
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError, RecursionError) as exc:
         code, error = 3, exc
     except (FieldPolyError, criteria.InconsistentInputError, ValueError) as exc:
         code, error = 2, exc
+    except Exception as exc:  # a defect, reported like bad input, with its traceback on stderr
+        traceback.print_exc()
+        code, error = 2, InternalError(f"{type(exc).__name__}: {exc}")
     else:
         return _emit(args, outcome.exit_code, {"result": outcome.result}, outcome.human, sys.stdout)
     body = {"error": {"type": type(error).__name__, "message": str(error)}}

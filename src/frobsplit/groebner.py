@@ -1,11 +1,12 @@
 """Buchberger engine: reduced Groebner bases, normal forms, initial ideals.
 
 The public operations work on :class:`~frobsplit.field_poly.Polynomial`
-values; internally polynomials are flattened to lists of ``(key, exponents,
-coefficient)`` triples sorted descending, where ``key`` is the order's
-additive key vector.  Division keeps the active terms in a dict plus a lazy
-max-heap of keys, so each reduction step costs one heap pop plus one shifted
-merge of the reducer tail.
+values; internally polynomials are flattened to lists of ``(nkey, exponents,
+coefficient)`` triples sorted ascending, where ``nkey`` is the negated
+additive key vector of the order (:func:`_kernel_key`): the leading term
+comes first, and a shifted term's key is a sum.  Division keeps the active
+terms in a dict plus a lazy min-heap of keys, so each reduction step costs
+one heap pop plus one shifted merge of the reducer tail.
 
 Pairs are filtered when they are created, by the installation of Gebauer
 and Moeller: each new element drops the queued pairs it makes redundant
@@ -29,9 +30,10 @@ from __future__ import annotations
 import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import le
+from operator import add, le, mul, neg, sub
 
 from .field_poly import (
+    EliminationOrder,
     FieldPolyError,
     Monomial,
     Polynomial,
@@ -82,13 +84,28 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", defau
 
 
 # -- kernel -------------------------------------------------------------------
-# A kernel polynomial is a list of (key, exp, coeff) sorted descending by key.
+# A kernel polynomial is a list of (nkey, exp, coeff) sorted ascending by nkey.
 
 
-def _to_terms(f: Polynomial, keyf):
-    terms = [(keyf(e), e, c) for e, c in f.terms_dict().items()]
-    terms.sort(reverse=True)
-    return terms
+def _kernel_key(order, n: int):
+    """The function ``e -> -order.key(e)`` on exponent tuples of length n."""
+    if isinstance(order, EliminationOrder):
+        base = _kernel_key(order.base, n - 1)
+        return lambda e: (-e[-1],) + base(e[:-1])
+    if order.kind == "lex":
+        return lambda e: tuple(map(neg, e))
+    if order.kind == "grevlex":
+        return lambda e: (-sum(e),) + e[::-1]
+    w = order.weight
+    if len(w) != n:
+        raise FieldPolyError("weight vector length does not match exponents")
+    if order.tiebreak == "lex":
+        return lambda e: (-sum(map(mul, w, e)),) + tuple(map(neg, e))
+    return lambda e: (-sum(map(mul, w, e)), -sum(e)) + e[::-1]
+
+
+def _to_terms(f: Polynomial, nkey):
+    return sorted([(nkey(e), e, c) for e, c in f.terms_dict().items()])
 
 
 def _from_terms(ring: RingContext, terms) -> Polynomial:
@@ -101,10 +118,6 @@ def _monic_terms(terms, p):
         return terms
     inv = pow(lc, -1, p)
     return [(k, e, (c * inv) % p) for k, e, c in terms]
-
-
-def _neg_key(key):
-    return tuple(-x for x in key)
 
 
 def _divides(a, b) -> bool:
@@ -126,24 +139,19 @@ def _mask(exps) -> int:
 class _Reducer:
     """A monic basis element preprocessed for division."""
 
-    __slots__ = ("lm", "lm_key", "mask", "tail")
+    __slots__ = ("lm", "lm_nkey", "mask", "tail")
 
     def __init__(self, terms, p):
         terms = _monic_terms(terms, p)
-        self.lm_key, self.lm, _ = terms[0]
+        self.lm_nkey, self.lm, _ = terms[0]
         self.mask = _mask(self.lm)
         self.tail = terms[1:]
 
 
 def _heap(terms):
-    """The active terms of a division: exponent -> coefficient, and a max-heap."""
-    coeffs: dict[tuple, int] = {}
-    heap: list[tuple[tuple, tuple]] = []
-    for k, e, c in terms:
-        coeffs[e] = c
-        heap.append((_neg_key(k), e))
-    heapq.heapify(heap)
-    return coeffs, heap
+    """The active terms of a division: exponent -> coefficient, and a min-heap."""
+    # sorted ascending, the terms are already in heap order
+    return {e: c for _, e, c in terms}, [(k, e) for k, e, _ in terms]
 
 
 def _reduce(terms, reducers, p):
@@ -174,7 +182,7 @@ def _reduce(terms, reducers, p):
                 hit = red
                 break
         if hit is None:
-            remainder.append((_neg_key(nk), e, c))
+            remainder.append((nk, e, c))
             continue
         _subtract(coeffs, heap, hit, e, nk, c, p)
     return remainder
@@ -202,15 +210,15 @@ def _divide(terms, red, p):
 
 
 def _subtract(coeffs, heap, red, e, nk, c, p):
-    """Cancel the term ``c * x^e`` (heap key ``nk``) with a multiple of ``red``.
+    """Cancel the term ``c * x^e`` (kernel key ``nk``) with a multiple of ``red``.
 
     Merges the shifted reducer tail into the active terms and returns the
-    multiplier ``(key, exponents, c)``.
+    multiplier ``(nkey, exponents, c)``.
     """
-    shift = tuple(a - b for a, b in zip(e, red.lm))
-    shift_key = tuple(-a - b for a, b in zip(nk, red.lm_key))
+    shift = tuple(map(sub, e, red.lm))
+    shift_key = tuple(map(sub, nk, red.lm_nkey))
     for tk, te, tc in red.tail:
-        ne = tuple(a + b for a, b in zip(te, shift))
+        ne = tuple(map(add, te, shift))
         if ne in coeffs:
             v = (coeffs[ne] - c * tc) % p
             if v:
@@ -221,41 +229,38 @@ def _subtract(coeffs, heap, red, e, nk, c, p):
             v = (-c * tc) % p
             if v:
                 coeffs[ne] = v
-                nk2 = tuple(-(a + b) for a, b in zip(tk, shift_key))
-                heapq.heappush(heap, (nk2, ne))
+                heapq.heappush(heap, (tuple(map(add, tk, shift_key)), ne))
     return shift_key, shift, c
 
 
-def _spoly_terms(fa, fb, p, keyf):
+def _spoly_terms(fa, fb, p, nkey):
     """S-pair combination of two monic kernel polynomials."""
     _, ea, ca = fa[0]
     _, eb, cb = fb[0]
     lcm = _lcm(ea, eb)
-    da = tuple(l - a for l, a in zip(lcm, ea))
-    db = tuple(l - b for l, b in zip(lcm, eb))
+    da = tuple(map(sub, lcm, ea))
+    db = tuple(map(sub, lcm, eb))
     inv_a = pow(ca, -1, p)
     inv_b = pow(cb, -1, p)
     acc: dict[tuple, int] = {}
     for _, e, c in fa:
-        ne = tuple(a + b for a, b in zip(e, da))
+        ne = tuple(map(add, e, da))
         v = (acc.get(ne, 0) + c * inv_a) % p
         if v:
             acc[ne] = v
         else:
             acc.pop(ne, None)
     for _, e, c in fb:
-        ne = tuple(a + b for a, b in zip(e, db))
+        ne = tuple(map(add, e, db))
         v = (acc.get(ne, 0) - c * inv_b) % p
         if v:
             acc[ne] = v
         else:
             acc.pop(ne, None)
-    terms = [(keyf(e), e, c) for e, c in acc.items()]
-    terms.sort(reverse=True)
-    return terms
+    return sorted([(nkey(e), e, c) for e, c in acc.items()])
 
 
-def _buchberger(inputs, keyf, p, pair_noise=None):
+def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
     Pairs are installed by the Gebauer-Moeller update, so every pair left in
@@ -332,7 +337,7 @@ def _buchberger(inputs, keyf, p, pair_noise=None):
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
-        s = _spoly_terms(basis[i], basis[j], p, keyf)
+        s = _spoly_terms(basis[i], basis[j], p, nkey)
         r = _reduce(s, [reducers[g] for g in active], p)
         if r:
             install(r)
@@ -357,7 +362,7 @@ def _autoreduce(basis, p):
     ]
     reducers = [_Reducer(t, p) for t in keep]
     reduced = [t[:1] + _reduce(t[1:], reducers, p) for t in keep]
-    reduced.sort(key=lambda t: t[0][0])
+    reduced.sort(key=lambda t: t[0][0], reverse=True)
     return reduced
 
 
@@ -476,18 +481,6 @@ def ideal(ring: RingContext, generators) -> IdealPresentation:
 # -- public operations ---------------------------------------------------------
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    """Standard S-pair combination cancelling the two leading terms."""
-    if not f or not g:
-        raise ZeroPolynomialError("S-polynomial of a zero polynomial")
-    if f.ring != g.ring:
-        raise FieldPolyError("polynomials from different rings")
-    p = f.ring.p
-    keyf = order.key
-    terms = _spoly_terms(_to_terms(f, keyf), _to_terms(g, keyf), p, keyf)
-    return _from_terms(f.ring, terms)
-
-
 def normal_form(f: Polynomial, basis, order) -> Polynomial:
     """Remainder of multivariate division of f by the listed polynomials."""
     basis = list(basis)
@@ -497,9 +490,9 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     if not f:
         return f
     p = f.ring.p
-    keyf = order.key
-    reducers = [_Reducer(_to_terms(g, keyf), p) for g in basis]
-    r = _reduce(_to_terms(f, keyf), reducers, p)
+    nkey = _kernel_key(order, f.ring.n)
+    reducers = [_Reducer(_to_terms(g, nkey), p) for g in basis]
+    r = _reduce(_to_terms(f, nkey), reducers, p)
     return _from_terms(f.ring, r)
 
 
@@ -509,13 +502,13 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     if cached is not None and _pair_noise is None:
         return cached
     p = I.ring.p
-    keyf = order.key
-    inputs = [_to_terms(g, keyf) for g in I.generators]
+    nkey = _kernel_key(order, I.ring.n)
+    inputs = [_to_terms(g, nkey) for g in I.generators]
     if all(len(t) == 1 for t in inputs):
         # a monomial ideal's minimal generators are its reduced basis
         basis = _autoreduce(inputs, p)
     else:
-        basis = _buchberger(inputs, keyf, p, pair_noise=_pair_noise)
+        basis = _buchberger(inputs, order.key, nkey, p, pair_noise=_pair_noise)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)
@@ -530,8 +523,8 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     responsible for the basis property; the test suite re-checks it on
     fixtures via the S-pair criterion.
     """
-    keyf = order.key
-    terms = [_to_terms(g, keyf) for g in elements if g]
+    nkey = _kernel_key(order, ring.n)
+    terms = [_to_terms(g, nkey) for g in elements if g]
     basis = _autoreduce(terms, ring.p)
     return ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis)).presentation()
 
@@ -541,9 +534,9 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     if f.ring != g.ring:
         raise RingMismatchError("polynomials from different rings")
     p = g.ring.p
-    keyf = order.key
-    f_terms = _to_terms(f, keyf)
-    q = _divide(_to_terms(g, keyf), _Reducer(f_terms, p), p)
+    nkey = _kernel_key(order, g.ring.n)
+    f_terms = _to_terms(f, nkey)
+    q = _divide(_to_terms(g, nkey), _Reducer(f_terms, p), p)
     if q is None:
         return None
     # the kernel divided by the monic f / lc(f)

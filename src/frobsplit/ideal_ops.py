@@ -23,7 +23,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .field_poly import (
+    MAX_EXPONENT,
     EliminationOrder,
+    ExponentOverflowError,
     FieldPolyError,
     Monomial,
     Polynomial,
@@ -177,6 +179,10 @@ def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     """Frobenius bracket power: the ideal of p^e-th powers of the generators."""
     if e < 1:
         raise FieldPolyError("bracket power exponent must be >= 1")
+    # p >= 2, so p^e overflows from e = 31 on: bound e before forming p**e
+    p = I.ring.p
+    if e >= MAX_EXPONENT.bit_length() or p**e > MAX_EXPONENT:
+        raise ExponentOverflowError(f"bracket power {p}^{e} exceeds MAX_EXPONENT")
     return IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
 
 

@@ -16,6 +16,10 @@ basis agrees at two consecutive degrees.
 ``monomial_ideal_intersection_lcm`` checks monomial-ideal intersection
 against the pairwise-lcm formula.
 
+``s_polynomial`` forms the S-pair combination from ``Polynomial``
+arithmetic alone, so Buchberger-criterion checks on a computed basis do not
+run through the kernel that computed it.
+
 ``parse_polynomial`` is the reference polynomial parser: a recursive-descent
 parser that builds every atom as a ``Polynomial`` and combines them with ring
 arithmetic (``**``, ``*``, ``+``, ``-``), over its own tokenizer.  The
@@ -30,7 +34,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from frobsplit.field_poly import MAX_NESTING, FieldPolyError, ParseError, Polynomial, RingContext
+from frobsplit.field_poly import (
+    MAX_NESTING,
+    FieldPolyError,
+    ParseError,
+    Polynomial,
+    RingContext,
+    ZeroPolynomialError,
+)
 from frobsplit.groebner import MonomialIdeal
 
 
@@ -174,6 +185,18 @@ def monomial_ideal_intersection_lcm(A: MonomialIdeal, B: MonomialIdeal) -> Monom
         raise FieldPolyError("ideals from different rings")
     gens = [a.lcm(b) for a in A.generators for b in B.generators]
     return MonomialIdeal(A.ring, tuple(gens))
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """The S-pair combination of f and g that cancels their leading terms."""
+    if not f or not g:
+        raise ZeroPolynomialError("S-polynomial of a zero polynomial")
+    (mf, cf), (mg, cg) = f.leading_term(order), g.leading_term(order)
+    lcm = mf.lcm(mg)
+    p = f.ring.p
+    return f.multiply_monomial(lcm.divide(mf), pow(cf, -1, p)) - g.multiply_monomial(
+        lcm.divide(mg), pow(cg, -1, p)
+    )
 
 
 # -- reference polynomial parser ---------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -402,6 +403,52 @@ def test_pair_budget_bounds_the_whole_command(tmp_path):
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
     code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "208"])
     assert code == 0 and payload["result"]["verified"] is True
+
+
+def test_bracket_power_exponent_is_bounded_before_any_power(tmp_path):
+    # p^e past MAX_EXPONENT is refused before p**e or a scaled exponent is
+    # formed, also for the zero and unit ideals, whose label would format it
+    prob = tmp_path / "units.prob"
+    prob.write_text("ring: p=2; vars=x\nideal Z: 0;\nideal U: 1;\n")
+    for args in ([F2X2], [str(prob), "--ideal", "Z"], [str(prob), "--ideal", "U"]):
+        start = time.perf_counter()
+        code, payload = run_json(["bracket-power", *args, "-e", "1000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and payload["error"] == {
+            "type": "ExponentOverflowError", "message": "bracket power 2^1000000 exceeds MAX_EXPONENT"
+        }
+    # 2^30 is the largest power of two within the cap
+    code, payload = run_json(["bracket-power", F2X2, "-e", "30"])
+    assert code == 0 and payload["result"]["generators"] == ["x1^1073741824*x4^1073741824 + x2^1073741824*x3^1073741824"]
+    assert run_json(["bracket-power", F2X2, "-e", "31"])[0] == 2
+
+
+def test_unexpected_exceptions_get_an_envelope(monkeypatch):
+    _, *entry = cli._COMMANDS["gb"]
+    for exc, code, kind, message in (
+        (KeyError("k"), 2, "InternalError", "KeyError: 'k'"),
+        (MemoryError(), 3, "MemoryError", ""),
+        (RecursionError("too deep"), 3, "RecursionError", "too deep"),
+    ):
+        def handler(ctx, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "gb", (handler, *entry))
+        got, payload = run_json(["gb", F2X2])
+        assert got == code and payload["error"] == {"type": kind, "message": message}
+    code, stdout, stderr = run_cli(["gb", F2X2])
+    assert code == 3 and stdout == "" and stderr == "error: too deep\n"
+    monkeypatch.setitem(cli._COMMANDS, "gb", (lambda ctx: 1 / 0, *entry))
+    code, stdout, stderr = run_cli(["gb", F2X2])
+    assert code == 2 and stdout == "" and "Traceback" in stderr
+    assert stderr.endswith("error: ZeroDivisionError: division by zero\n")
+
+    def interrupted(ctx):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "gb", (interrupted, *entry))
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["gb", F2X2, "--json"])
 
 
 def test_order_override_flag():

@@ -13,7 +13,6 @@ PUBLIC = [
     "Budget", "DEFAULT_MAX_PAIRS", "IdealPresentation", "MonomialIdeal", "ReducedGB",
     "ResourceLimitError",
     "ideal", "ideals_equal", "initial_ideal", "member", "normal_form", "reduced_gb",
-    "s_polynomial",
     # ideal_ops
     "WitnessInPrimeError",
     "bracket_power", "colon", "colon_ideal", "dehomogenize", "homogenize_w", "intersect",
