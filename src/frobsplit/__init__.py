@@ -9,9 +9,6 @@ ideal.  See the README for the CLI and the problem-file format.
 
 from ._version import __version__
 from .field_poly import (
-    EQ,
-    GT,
-    LT,
     EliminationOrder,
     ExponentOverflowError,
     FieldPolyError,
@@ -62,7 +59,6 @@ from .frobenius import (
     is_splitting,
     star_apply,
     trace,
-    trace_iterate,
 )
 from .criteria import (
     Certificate,

@@ -23,8 +23,6 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-LT, EQ, GT = -1, 0, 1
-
 # Bracket powers scale exponents by p^e; beyond this the build fails loudly
 # instead of silently producing huge objects.  The modulus shares the cap so
 # primality stays a cheap deterministic check.
@@ -541,17 +539,6 @@ class MonomialOrder:
         if self.tiebreak == "lex":
             return (s,) + exps
         return (s, sum(exps)) + tuple(-e for e in reversed(exps))
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """LT, EQ or GT for a versus b."""
-        if a.ring != b.ring:
-            raise RingMismatchError("monomials from different rings")
-        ka, kb = self.key(a.exponents), self.key(b.exponents)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
     def text(self) -> str:
         if self.kind == "weight":

@@ -94,16 +94,6 @@ def is_splitting(f: Polynomial) -> SplittingCheck:
     return SplittingCheck(True)
 
 
-def trace_iterate(f: Polynomial, g: Polynomial, n: int) -> Polynomial:
-    """n-fold composition of the map f * trace applied to g."""
-    if n < 1:
-        raise FieldPolyError("iteration count must be >= 1")
-    result = g
-    for _ in range(n):
-        result = trace(f * result)
-    return result
-
-
 def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     """The colon ideal I^[p] : I, cached on the presentation per order."""
     key = ("fedder_colon", order)

@@ -6,7 +6,9 @@ coefficient)`` triples sorted ascending, where ``nkey`` is the negated
 additive key vector of the order (:func:`_kernel_key`): the leading term
 comes first, and a shifted term's key is a sum.  Division keeps the active
 terms in a dict plus a lazy min-heap of keys, so each reduction step costs
-one heap pop plus one shifted merge of the reducer tail.
+one heap pop plus one shifted merge of the reducer tail.  An S-pair is the
+first step of its own reduction: the shifted tail of one element seeds the
+heap and the other element is subtracted from it like any reducer.
 
 Pairs are filtered when they are created, by the installation of Gebauer
 and Moeller: each new element drops the queued pairs it makes redundant
@@ -112,14 +114,6 @@ def _from_terms(ring: RingContext, terms) -> Polynomial:
     return Polynomial(ring, {e: c for _, e, c in terms})
 
 
-def _monic_terms(terms, p):
-    lc = terms[0][2]
-    if lc == 1:
-        return terms
-    inv = pow(lc, -1, p)
-    return [(k, e, (c * inv) % p) for k, e, c in terms]
-
-
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
@@ -137,30 +131,53 @@ def _mask(exps) -> int:
 
 
 class _Reducer:
-    """A monic basis element preprocessed for division."""
+    """A basis element made monic and preprocessed for division."""
 
     __slots__ = ("lm", "lm_nkey", "mask", "tail")
 
     def __init__(self, terms, p):
-        terms = _monic_terms(terms, p)
-        self.lm_nkey, self.lm, _ = terms[0]
+        self.lm_nkey, self.lm, lc = terms[0]
         self.mask = _mask(self.lm)
         self.tail = terms[1:]
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            self.tail = [(k, e, (c * inv) % p) for k, e, c in self.tail]
 
 
 def _heap(terms):
-    """The active terms of a division: exponent -> coefficient, and a min-heap."""
+    """The active terms of a division: exponent -> coefficient, and a min-heap.
+
+    An S-pair's active terms come from :func:`_spair`, its first step instead.
+    """
     # sorted ascending, the terms are already in heap order
     return {e: c for _, e, c in terms}, [(k, e) for k, e, _ in terms]
 
 
-def _reduce(terms, reducers, p):
-    """Full normal form of a kernel polynomial against a reducer list.
+def _spair(ra, rb, p, nkey):
+    """The S-polynomial of two reducers, as the active terms of its reduction.
 
-    Scans reducers in list order for the first whose leading monomial divides
-    the current maximal term; terms with no divisor move to the remainder.
+    The tail of ``ra`` shifted to the lcm seeds the heap (a shift keeps it
+    sorted); subtracting the shifted ``rb`` is the first reduction step.
     """
-    coeffs, heap = _heap(terms)
+    lcm = _lcm(ra.lm, rb.lm)
+    nk = nkey(lcm)
+    shift = tuple(map(sub, lcm, ra.lm))
+    shift_key = tuple(map(sub, nk, ra.lm_nkey))
+    coeffs, heap = _heap(
+        [(tuple(map(add, k, shift_key)), tuple(map(add, e, shift)), c) for k, e, c in ra.tail]
+    )
+    _subtract(coeffs, heap, rb, lcm, nk, 1, p)
+    return coeffs, heap
+
+
+def _reduce(coeffs, heap, reducers, p):
+    """Full normal form of the active terms against a reducer list.
+
+    The active terms come from :func:`_heap`, or from :func:`_spair`, which
+    makes an S-pair the first step of its reduction.  Scans reducers in list
+    order for the first whose leading monomial divides the current maximal
+    term; terms with no divisor move to the remainder.
+    """
     remainder = []
     while heap:
         nk, e = heapq.heappop(heap)
@@ -188,15 +205,14 @@ def _reduce(terms, reducers, p):
     return remainder
 
 
-def _divide(terms, red, p):
-    """Exact quotient of a kernel polynomial by one reducer, or None.
+def _divide(coeffs, heap, red, p):
+    """Exact quotient of the active terms by one reducer, or None.
 
     The heap pass of :func:`_reduce` with a single reducer: the leading
     monomial of ``red`` must divide every maximal term the pass meets, else
     the division leaves a remainder.  The quotient is by the monic reducer,
     in kernel form.
     """
-    coeffs, heap = _heap(terms)
     quotient = []
     while heap:
         nk, e = heapq.heappop(heap)
@@ -233,33 +249,6 @@ def _subtract(coeffs, heap, red, e, nk, c, p):
     return shift_key, shift, c
 
 
-def _spoly_terms(fa, fb, p, nkey):
-    """S-pair combination of two monic kernel polynomials."""
-    _, ea, ca = fa[0]
-    _, eb, cb = fb[0]
-    lcm = _lcm(ea, eb)
-    da = tuple(map(sub, lcm, ea))
-    db = tuple(map(sub, lcm, eb))
-    inv_a = pow(ca, -1, p)
-    inv_b = pow(cb, -1, p)
-    acc: dict[tuple, int] = {}
-    for _, e, c in fa:
-        ne = tuple(map(add, e, da))
-        v = (acc.get(ne, 0) + c * inv_a) % p
-        if v:
-            acc[ne] = v
-        else:
-            acc.pop(ne, None)
-    for _, e, c in fb:
-        ne = tuple(map(add, e, db))
-        v = (acc.get(ne, 0) - c * inv_b) % p
-        if v:
-            acc[ne] = v
-        else:
-            acc.pop(ne, None)
-    return sorted([(nkey(e), e, c) for e, c in acc.items()])
-
-
 def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
@@ -270,7 +259,6 @@ def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
     strategy and exercise the uniqueness of the reduced basis.
     """
     budget = _ACTIVE_BUDGET.get() or Budget()
-    basis = []
     reducers = []
     active = []
     heap = []
@@ -278,9 +266,7 @@ def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
     def install(terms):
         """Add one element and update the pair queue and the active set."""
         nonlocal heap, active
-        h = len(basis)
-        terms = _monic_terms(terms, p)
-        basis.append(terms)
+        h = len(reducers)
         red = _Reducer(terms, p)
         reducers.append(red)
         lh, mh = red.lm, red.mask
@@ -337,31 +323,29 @@ def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
-        s = _spoly_terms(basis[i], basis[j], p, nkey)
-        r = _reduce(s, [reducers[g] for g in active], p)
+        r = _reduce(*_spair(reducers[i], reducers[j], p, nkey), [reducers[g] for g in active], p)
         if r:
             install(r)
 
-    return _autoreduce([basis[g] for g in active], p)
+    return _autoreduce([reducers[g] for g in active], p)
 
 
-def _autoreduce(basis, p):
+def _autoreduce(reducers, p):
     """Minimalize and tail-reduce a Groebner basis; sort ascending by lm.
 
-    One reducer list serves every element: a leading monomial divides no
-    smaller term, so an element's own reducer never fires on its tail.
+    Takes the basis as reducers and returns monic kernel polynomials.  The
+    kept reducers serve every element: a leading monomial divides no smaller
+    term, so an element's own reducer never fires on its tail.
     """
-    lms = [(t[0][1], _mask(t[0][1])) for t in basis]
     keep = [
-        _monic_terms(basis[i], p)
-        for i, (lm, mask) in enumerate(lms)
+        r
+        for i, r in enumerate(reducers)
         if not any(
-            j != i and not mo & ~mask and _divides(lo, lm) and (lo != lm or j < i)
-            for j, (lo, mo) in enumerate(lms)
+            j != i and not o.mask & ~r.mask and _divides(o.lm, r.lm) and (o.lm != r.lm or j < i)
+            for j, o in enumerate(reducers)
         )
     ]
-    reducers = [_Reducer(t, p) for t in keep]
-    reduced = [t[:1] + _reduce(t[1:], reducers, p) for t in keep]
+    reduced = [[(r.lm_nkey, r.lm, 1)] + _reduce(*_heap(r.tail), keep, p) for r in keep]
     reduced.sort(key=lambda t: t[0][0], reverse=True)
     return reduced
 
@@ -492,7 +476,7 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     p = f.ring.p
     nkey = _kernel_key(order, f.ring.n)
     reducers = [_Reducer(_to_terms(g, nkey), p) for g in basis]
-    r = _reduce(_to_terms(f, nkey), reducers, p)
+    r = _reduce(*_heap(_to_terms(f, nkey)), reducers, p)
     return _from_terms(f.ring, r)
 
 
@@ -506,7 +490,7 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     inputs = [_to_terms(g, nkey) for g in I.generators]
     if all(len(t) == 1 for t in inputs):
         # a monomial ideal's minimal generators are its reduced basis
-        basis = _autoreduce(inputs, p)
+        basis = _autoreduce([_Reducer(t, p) for t in inputs], p)
     else:
         basis = _buchberger(inputs, order.key, nkey, p, pair_noise=_pair_noise)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
@@ -524,8 +508,8 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     fixtures via the S-pair criterion.
     """
     nkey = _kernel_key(order, ring.n)
-    terms = [_to_terms(g, nkey) for g in elements if g]
-    basis = _autoreduce(terms, ring.p)
+    reducers = [_Reducer(_to_terms(g, nkey), ring.p) for g in elements if g]
+    basis = _autoreduce(reducers, ring.p)
     return ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis)).presentation()
 
 
@@ -536,7 +520,7 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     p = g.ring.p
     nkey = _kernel_key(order, g.ring.n)
     f_terms = _to_terms(f, nkey)
-    q = _divide(_to_terms(g, nkey), _Reducer(f_terms, p), p)
+    q = _divide(*_heap(_to_terms(g, nkey)), _Reducer(f_terms, p), p)
     if q is None:
         return None
     # the kernel divided by the monic f / lc(f)

@@ -323,12 +323,11 @@ def monomial_dimension(M: MonomialIdeal) -> int:
     return n - cover(supports)
 
 
-def bracket_of_variables(ring: RingContext, e: int = 1) -> MonomialIdeal:
-    """The monomial ideal (x_1^(p^e), ..., x_n^(p^e))."""
-    q = ring.p**e
+def bracket_of_variables(ring: RingContext) -> MonomialIdeal:
+    """The monomial ideal (x_1^p, ..., x_n^p)."""
     gens = []
     for i in range(ring.n):
         exp = [0] * ring.n
-        exp[i] = q
+        exp[i] = ring.p
         gens.append(Monomial(ring, tuple(exp)))
     return MonomialIdeal(ring, tuple(gens))

@@ -46,6 +46,34 @@ def test_kernel_key_reverses_the_order_and_is_additive():
         gb._kernel_key(fp.weight_order((1, 1)), 3)
 
 
+def test_spair_in_the_heap_matches_oracle_s_polynomial():
+    # the kernel forms an S-pair as the first step of its reduction; drained
+    # against no reducers it must be the S-polynomial of Polynomial arithmetic.
+    # Odd primes and non-monic inputs matter: at p = 2 a flipped sign is unseen
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(1, 4)
+        R = fp.ring_new(p, [f"x{i}" for i in range(n)])
+        w = tuple(rng.randint(1, 4) for _ in range(n))
+        orders = [fp.lex(), fp.grevlex(), fp.weight_order(w, "lex"), fp.weight_order(w, "grevlex")]
+        if n > 1:
+            base = rng.choice([fp.lex(), fp.grevlex(), fp.weight_order(w[1:], "lex")])
+            orders.append(fp.EliminationOrder(base))
+        for order in orders:
+            f = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
+            g = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
+            nkey = gb._kernel_key(order, n)
+            ra, rb = (gb._Reducer(gb._to_terms(h, nkey), p) for h in (f, g))
+            r = gb._reduce(*gb._spair(ra, rb, p, nkey), [], p)
+            assert r == sorted(r)
+            s = oracle.s_polynomial(f, g, order)
+            assert gb._from_terms(R, r) == s
+            checked += p > 2 and bool(s)
+    assert checked > 200
+
+
 def test_normal_form_examples(ring_xy5):
     R = ring_xy5
     o = fp.lex()

@@ -4,7 +4,6 @@ import frobsplit
 # up as a diff here (and in README's "Library use" and CHANGES.md).
 PUBLIC = [
     # field_poly
-    "EQ", "GT", "LT",
     "EliminationOrder", "ExponentOverflowError", "FieldPolyError", "Monomial",
     "MonomialOrder", "ParseError", "Polynomial", "RingContext", "RingMismatchError",
     "ZeroPolynomialError",
@@ -19,7 +18,7 @@ PUBLIC = [
     "monomial_dimension", "power", "saturate", "symbolic_power_prime",
     # frobenius
     "compatible_check", "fedder_membership", "fsplit_graded_test", "is_splitting",
-    "star_apply", "trace", "trace_iterate",
+    "star_apply", "trace",
     # criteria
     "Certificate", "InconsistentInputError", "NotFound", "SoundnessError",
     "charp_certificate", "deformation_fibers", "fsplit_certificate", "replay",
