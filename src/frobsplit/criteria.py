@@ -313,7 +313,7 @@ def charp_certificate(I: IdealPresentation, order) -> Certificate | NotFound:
     """Squarefree-initial-ideal certificate through the Fedder colon."""
     ring = I.ring
     if I.is_zero:
-        raise FieldPolyError("the zero ideal has no Fedder colon")
+        raise FieldPolyError("the zero ideal is not an admissible CharP input")
     top = top_monomial(ring)
     C = fedder_colon(I, order)
     gbC = reduced_gb(C, order)

@@ -7,8 +7,7 @@ is kept as the reduced basis of ``A ∩ B``.  Colons divide the generators of
 ``I ∩ (f)`` exactly by ``f``; that quotient set is again a Groebner basis, so
 colon and intersection results come back with their reduced basis
 pre-cached.  A principal colon ``(h) : f`` with ``f`` dividing ``h`` is
-``(h/f)`` and skips the intersection, which gives the hypersurface Fedder
-colon ``(f^p) : f = (f^(p-1))`` directly.  Saturation iterates the colon
+``(h/f)`` and skips the intersection.  Saturation iterates the colon
 until the reduced bases agree and records the stabilization exponent in the
 result's provenance.
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -284,6 +285,27 @@ def test_verify_cert_accepts_every_certificate_kind(tmp_path):
         assert code == 0 and payload["result"]["verified"] is True
 
 
+def test_zero_ideal_has_the_unit_fedder_colon(tmp_path):
+    # (0)^[p] : (0) = (1), so fedder agrees with compatible; the fsplit
+    # certificate (witness 1, colon (1)) keeps its bytes and now replays
+    prob = tmp_path / "zero.prob"
+    prob.write_text("ring: p=3; vars=x,y\nideal I: 0;\n")
+    for command, key in (("fedder", "member"), ("compatible", "compatible")):
+        code, payload = run_json([command, str(prob), "--poly", "x*y"])
+        assert code == 0 and payload["result"][key] is True
+    cert = tmp_path / "cert.json"
+    assert run_json(["fsplit", str(prob), "--out", str(cert)])[0] == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "058b2de374c6c37c97c9b69de16506e6816003336ea379e2ce9599151c22d5d5"
+    )
+    code, payload = run_json(["verify-cert", str(cert)])
+    assert code == 0 and payload["result"]["verified"] is True
+    code, payload = run_json(["charp-cert", str(prob)])
+    assert code == 2 and payload["error"] == {
+        "type": "FieldPolyError", "message": "the zero ideal is not an admissible CharP input"
+    }
+
+
 def test_charp_cert_notfound_exit_one(tmp_path):
     prob = tmp_path / "sq.prob"
     prob.write_text("ring: p=2; vars=x\norder: lex\nideal I: x^2;\n")
@@ -387,13 +409,13 @@ def test_monomial_ideal_reduces_no_pairs(tmp_path):
 
 
 def test_pair_budget_bounds_the_whole_command(tmp_path):
-    # pentagon fsplit reduces 2,490 S-pairs over 9 kernel runs, at most 632 in one
+    # pentagon fsplit reduces 2,510 S-pairs over 10 kernel runs, at most 632 in one
     pentagon = str(FIXTURES / "pentagon_edge.prob")
-    code, payload = run_json(["fsplit", pentagon, "--budget-pairs", "2489"])
+    code, payload = run_json(["fsplit", pentagon, "--budget-pairs", "2509"])
     assert code == 3 and payload["error"] == {
-        "type": "ResourceLimitError", "message": "pair budget of 2489 exceeded"
+        "type": "ResourceLimitError", "message": "pair budget of 2509 exceeded"
     }
-    assert run_json(["fsplit", pentagon, "--budget-pairs", "2490"])[0] == 1
+    assert run_json(["fsplit", pentagon, "--budget-pairs", "2510"])[0] == 1
     # charp-cert reduces 101 pairs and the replay of its certificate 107, at
     # most 25 in one run; --verify draws both from one budget
     cert = str(tmp_path / "cert.json")

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,7 @@ from frobsplit import frobenius as fr
 from frobsplit import groebner as gb
 from frobsplit import ideal_ops as ops
 
-from conftest import random_polynomial
+from conftest import minors_2x3, random_polynomial
 
 
 # -- trace ------------------------------------------------------------------------
@@ -338,8 +338,6 @@ def test_deformed_minors_not_f_split():
 def test_charp_success_implies_f_split():
     # a Fedder-colon element whose lead divides the top monomial is itself
     # outside the bracket of the variables
-    from conftest import minors_2x3
-
     for builder in (minors_2x3,):
         ring, I = builder(p=2)
         assert fr.fsplit_graded_test(I, fp.lex()).split
@@ -350,3 +348,76 @@ def test_fedder_colon_is_cached():
     I = gb.ideal(R, [R.parse("x*y")])
     a = fr.fedder_colon(I, fp.lex())
     assert fr.fedder_colon(I, fp.lex()) is a
+
+
+def _colon_kind(I, order):
+    """Which route fedder_colon should take: read off the reduced basis."""
+    G = gb.reduced_gb(I, order)
+    if G.elements == (I.ring.one(),):
+        return "unit"
+    if len(G) == 1:
+        return "principal"
+    leads = [m.exponents for m in G.leading_monomials()]
+    if all(not any(a and b for a, b in zip(e, f)) for e, f in combinations(leads, 2)):
+        return "complete intersection"
+    return "neither"
+
+
+def _fedder_colon_cases():
+    R = fp.ring_new(3, ["x"])
+    yield gb.ideal(R, [R.parse("x"), R.parse("x + 1")]), fp.lex()
+    R = fp.ring_new(2, ["x", "y"])
+    yield gb.ideal(R, [R.parse("x^2*y + y^3")]), fp.grevlex()
+    R = fp.ring_new(5, ["x", "y", "z"])
+    yield gb.ideal(R, [R.parse("x^2 + y"), R.parse("y^3 + z")]), fp.lex()
+    yield minors_2x3(p=2)[1], fp.grevlex()
+    rng = random.Random(17)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 4)
+        R = fp.ring_new(p, [f"x{k}" for k in range(n)])
+        weights = tuple(rng.randint(1, 3) for _ in range(n))
+        order = rng.choice([fp.lex(), fp.grevlex(), fp.weight_order(weights, rng.choice(["lex", "grevlex"]))])
+        # binomials, at most two of them at p = 5, keep the elimination route fast
+        count = rng.randint(1, 3 if p < 5 else 2)
+        gens = [random_polynomial(rng, R, 2, max_terms=2, nonzero=True) for _ in range(count)]
+        yield gb.ideal(R, gens), order
+
+
+def test_fedder_colon_matches_elimination(monkeypatch):
+    # the closed form of Fedder's lemma for complete intersections against
+    # the general route I^[p] : I by elimination, which only the last kind takes
+    routed = []
+    monkeypatch.setattr(fr, "colon_ideal", lambda *a: routed.append(a) or ops.colon_ideal(*a))
+    seen = dict.fromkeys(["unit", "principal", "complete intersection", "neither"], 0)
+    for I, order in _fedder_colon_cases():
+        kind = _colon_kind(I, order)
+        del routed[:]
+        got = gb.reduced_gb(fr.fedder_colon(I, order), order)
+        assert bool(routed) == (kind == "neither")
+        expected = ops.colon_ideal(ops.bracket_power(I, 1), I, order)
+        assert got.elements == gb.reduced_gb(expected, order).elements
+        seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_fedder_colon_of_zero_ideal_is_unit():
+    # (0) : (0) = (1), the empty product in Fedder's formula; the graded test
+    # reads the same witness 1 off it
+    R = fp.ring_new(3, ["x", "y"])
+    Z = gb.ideal(R, [])
+    assert gb.reduced_gb(fr.fedder_colon(Z, fp.lex()), fp.lex()).elements == (R.one(),)
+    assert fr.fedder_membership(R.parse("x*y"), Z, fp.lex())
+    out = fr.fsplit_graded_test(Z, fp.lex())
+    assert out.split and out.witness == R.one()
+
+
+def test_fedder_colon_past_the_exponent_cap_takes_elimination():
+    # (x^A + y)^2 * (y^A + x^(A-1))^2 has x^(4A-2) > MAX_EXPONENT, but the
+    # reduced basis of the colon stays below 3A, and elimination reaches it
+    R = fp.ring_new(3, ["x", "y"])
+    A = 600_000_000
+    I = gb.ideal(R, [R.parse(f"x^{A} + y"), R.parse(f"y^{A} + x^{A - 1}")])
+    assert _colon_kind(I, fp.grevlex()) == "complete intersection"
+    C = gb.reduced_gb(fr.fedder_colon(I, fp.grevlex()), fp.grevlex())
+    assert [g.text() for g in C.elements[:2]] == [f"y^{3 * A} + x^{3 * A - 3}", f"x^{3 * A} + y^3"]

@@ -253,16 +253,23 @@ def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fixture, pairs", [("minors_2x3.prob", 99), ("pentagon_edge.prob", 2490)]
+    "fixture, pairs, elimination_pairs",
+    [("minors_2x3.prob", 101, 99), ("pentagon_edge.prob", 2510, 2490)],
 )
-def test_fsplit_pairs_reduced_pinned(fixture, pairs):
+def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs):
     # deterministic regression signal for the pair criteria: S-pairs that
     # survive the criteria and are reduced, summed over every kernel run of
     # what the fsplit command computes
     pf = cli.parse_problem((FIXTURES / fixture).read_text())
+    I = pf.ideal(None)[1]
     with gb.Budget() as budget:
-        criteria.fsplit_certificate(pf.ideal(None)[1], pf.order)
+        criteria.fsplit_certificate(I, pf.order)
     assert budget.pairs == pairs
+    # the Fedder colon first reads the reduced basis of I to test for a
+    # complete intersection; the elimination route after it costs what it did
+    with gb.Budget() as alone:
+        gb.reduced_gb(gb.ideal(I.ring, I.generators), pf.order)
+    assert pairs - alone.pairs == elimination_pairs
 
 
 def test_gb_spolys_reduce_to_zero():
