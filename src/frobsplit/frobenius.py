@@ -10,9 +10,10 @@ unique carrier f, which makes splitting questions polynomial arithmetic:
 * ``f * trace`` splits Frobenius iff trace(f) = 1, equivalently the two
   support conditions checked by :func:`is_splitting`;
 * ``(f * trace)(I) ⊆ I`` iff f lies in the Fedder colon ``I^[p] : I``,
-  which is ``I^[p] + (g_1...g_k)^(p-1)`` when the reduced basis g_1, ..., g_k
-  has leading monomials with disjoint supports (a complete intersection) and
-  is built by elimination otherwise;
+  which is ``I^[p] + (g_1...g_k)^(p-1)`` when the shorter of the reduced
+  basis and the generators has ``k = ht I`` elements (a complete
+  intersection), ``d^(p-1)`` times the colon of ``I / d`` when ``ht I = 1``
+  and d is the gcd of the generators, and is built by elimination otherwise;
 * an ideal is compatible with a splitting iff the images of the coset
   representatives ``x^a * g`` (a below p, g a generator) all lie in it, which
   :func:`compatible_check` reads off one product ``f * g`` per generator,
@@ -24,8 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field_poly import ExponentOverflowError, FieldPolyError, Monomial, Polynomial, RingContext
-from .groebner import IdealPresentation, ReducedGB, member, presentation_from_gb, reduced_gb
-from .ideal_ops import bracket_of_variables, bracket_power, colon_ideal, frobenius_power_poly
+from .groebner import IdealPresentation, MonomialIdeal, member, presentation_from_gb, reduced_gb
+from .ideal_ops import (
+    bracket_of_variables,
+    bracket_power,
+    colon,
+    colon_ideal,
+    exact_divide,
+    frobenius_power_poly,
+    monomial_dimension,
+)
 
 def trace(g: Polynomial) -> Polynomial:
     """Project onto the dual of the top basis monomial of F_*S over S."""
@@ -97,39 +106,86 @@ def is_splitting(f: Polynomial) -> SplittingCheck:
     return SplittingCheck(True)
 
 
-def _complete_intersection_colon(G: ReducedGB) -> IdealPresentation:
-    """Fedder's ``(g^p for g in G) + ((prod G)^(p-1))`` for a complete intersection."""
-    ring = G.ring
+def _complete_intersection_colon(ring: RingContext, gens, order) -> IdealPresentation:
+    """Fedder's ``(g^p for g in gens) + ((prod gens)^(p-1))`` for a regular sequence."""
     product = ring.one()
-    for g in G:
+    for g in gens:
         product = product * g
     h = product ** (ring.p - 1)
-    if len(G) <= 1:
+    if len(gens) <= 1:
         # g^p = g * h, so the monic h alone is the reduced basis
-        return presentation_from_gb(ring, [h], G.order)
-    return IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in G) + (h,))
+        return presentation_from_gb(ring, [h], order)
+    return IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in gens) + (h,))
+
+
+def _common_factor(gens, order) -> Polynomial:
+    """The gcd of gens, through principal colons: ``(g) : d = (g / gcd(g, d))``.
+
+    Once d divides the next generator, its colon is one exact division.
+    """
+    d = gens[0]
+    for g in gens[1:]:
+        (q,) = colon(IdealPresentation(d.ring, (g,)), d, order).generators
+        d = exact_divide(g, q, order)
+    return d
+
+
+def _closed_form_colon(I: IdealPresentation, order) -> IdealPresentation | None:
+    """I^[p] : I without elimination, or None when no closed form applies.
+
+    The height of I is read off the leading monomials of its reduced basis G.
+    """
+    ring = I.ring
+    G = reduced_gb(I, order)
+    leads = G.leading_monomials()
+    # how many leading monomials each variable divides
+    counts = [sum(map(bool, column)) for column in zip(*(m.exponents for m in leads))]
+    if max(counts, default=0) <= 1:
+        # pairwise disjoint supports: ht I = |G| with no search (this covers
+        # the zero, unit and every principal ideal)
+        return _complete_intersection_colon(ring, G.elements, order)
+    gens = G.elements if len(G) < len(I.generators) else I.generators
+    if max(counts) == len(leads):
+        height = 1  # a variable divides every leading monomial
+    elif len(gens) < len(G) and len(gens) <= ring.n:
+        height = ring.n - monomial_dimension(MonomialIdeal(ring, leads))
+    else:
+        # two leading monomials share a variable, so |G| - 1 variables meet
+        # them all: ht I < |G|, and ht I <= n
+        return None
+    if height == len(gens):
+        return _complete_intersection_colon(ring, gens, order)
+    if height > 1:
+        return None
+    d = _common_factor(gens, order)
+    rest = IdealPresentation(ring, tuple(exact_divide(g, d, order) for g in gens))
+    # lm(d * f) = lm(d) * lm(f), so G / d is a Groebner basis of I / d
+    basis = presentation_from_gb(ring, [exact_divide(g, d, order) for g in G], order)
+    rest._gb_cache[order] = reduced_gb(basis, order)
+    h = d ** (ring.p - 1)
+    # and h times a Groebner basis of the quotients' colon is one of h times it
+    return presentation_from_gb(ring, [h * c for c in reduced_gb(fedder_colon(rest, order), order)], order)
 
 
 def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     """The colon ideal I^[p] : I, cached on the presentation per order.
 
-    When the leading monomials of the reduced basis G have pairwise disjoint
-    supports, G is a complete intersection and Fedder's lemma gives the colon
-    as ``(g^p for g in G) + ((prod G)^(p-1))`` (see docs/notes.md); this
-    covers the zero, unit and principal ideals.  Otherwise the colon is built
-    by elimination.
+    When the shorter of the reduced basis and the generators has ``ht I``
+    elements, it is a complete intersection and Fedder's lemma gives the
+    colon as ``(g^p for g in gens) + ((prod gens)^(p-1))``; pairwise disjoint
+    leading supports of the reduced basis prove this with no search, and
+    cover the zero, unit and principal ideals.  When ``ht I = 1``, the colon
+    is ``d^(p-1)`` times the colon of ``I / d``, d the gcd of the generators
+    (see docs/notes.md).  Otherwise, or when a closed form passes the
+    exponent cap, the colon is built by elimination.
     """
     key = ("fedder_colon", order)
     cached = I._gb_cache.get(key)
     if cached is None:
-        G = reduced_gb(I, order)
-        leads = [m.exponents for m in G.leading_monomials()]
-        # each variable in at most one leading monomial
-        if all(sum(map(bool, column)) <= 1 for column in zip(*leads)):
-            try:
-                cached = _complete_intersection_colon(G)
-            except ExponentOverflowError:
-                pass  # (prod G)^(p-1) can pass the cap where the colon's basis does not
+        try:
+            cached = _closed_form_colon(I, order)
+        except ExponentOverflowError:
+            pass  # a product can pass the cap where the colon's basis does not
         if cached is None:
             cached = colon_ideal(bracket_power(I, 1), I, order)
         I._gb_cache[key] = cached

@@ -350,8 +350,19 @@ def test_fedder_colon_is_cached():
     assert fr.fedder_colon(I, fp.lex()) is a
 
 
+def _height(I, order):
+    """ht I = n - dim S/in(I): the fewest variables meeting every leading monomial."""
+    leads = [m.exponents for m in gb.reduced_gb(I, order).leading_monomials()]
+    n = I.ring.n
+    return next(
+        r
+        for r in range(n + 1)
+        if any(all(any(e[i] for i in s) for e in leads) for s in combinations(range(n), r))
+    )
+
+
 def _colon_kind(I, order):
-    """Which route fedder_colon should take: read off the reduced basis."""
+    """Which route fedder_colon should take: read off the reduced basis and the height."""
     G = gb.reduced_gb(I, order)
     if G.elements == (I.ring.one(),):
         return "unit"
@@ -360,7 +371,18 @@ def _colon_kind(I, order):
     leads = [m.exponents for m in G.leading_monomials()]
     if all(not any(a and b for a, b in zip(e, f)) for e, f in combinations(leads, 2)):
         return "complete intersection"
+    height = _height(I, order)
+    if height == min(len(G), len(I.generators)):
+        return "complete intersection by height"
+    if height == 1:
+        return "common factor"
     return "neither"
+
+
+def _times_minors(p, factor):
+    """factor * (the 2x3 minors), an ideal of height 1 whose quotient by the gcd is not a CI."""
+    ring, M = minors_2x3(p)
+    return gb.ideal(ring, [ring.parse(factor) * g for g in M.generators])
 
 
 def _fedder_colon_cases():
@@ -371,6 +393,21 @@ def _fedder_colon_cases():
     R = fp.ring_new(5, ["x", "y", "z"])
     yield gb.ideal(R, [R.parse("x^2 + y"), R.parse("y^3 + z")]), fp.lex()
     yield minors_2x3(p=2)[1], fp.grevlex()
+    # a complete intersection seen only through its presentation: the reduced
+    # basis (x*y - y*z, x^2, y*z^2) has three elements, and the height is 2
+    R = fp.ring_new(3, ["x", "y", "z"])
+    yield gb.ideal(R, [R.parse("x*y - y*z"), R.parse("x^2")]), fp.grevlex()
+    yield gb.ideal(R, [R.parse("x*y"), R.parse("x*z")]), fp.lex()
+    yield _times_minors(2, "x11"), fp.grevlex()
+    yield _times_minors(3, "x11 + x12"), fp.lex()
+    yield _times_minors(2, "x13*x21 + 1"), fp.grevlex()
+    # ideals of height 2 with three generators, none a complete intersection
+    yield minors_2x3(p=3)[1], fp.lex()
+    for p, order in [(2, fp.grevlex()), (3, fp.lex()), (5, fp.grevlex())]:
+        R = fp.ring_new(p, ["x", "y", "z", "w"])
+        twisted_cubic = [R.parse("x*z - y^2"), R.parse("x*w - y*z"), R.parse("y*w - z^2")]
+        yield gb.ideal(R, twisted_cubic), order
+        yield gb.ideal(R, [R.parse("x*y"), R.parse("y*z"), R.parse("x*z")]), order
     rng = random.Random(17)
     for _ in range(400):
         p = rng.choice([2, 3, 5])
@@ -382,23 +419,54 @@ def _fedder_colon_cases():
         count = rng.randint(1, 3 if p < 5 else 2)
         gens = [random_polynomial(rng, R, 2, max_terms=2, nonzero=True) for _ in range(count)]
         yield gb.ideal(R, gens), order
+    # two trinomials in three variables: often a complete intersection whose
+    # reduced basis is longer; times a binomial of degree at most one, an
+    # ideal with a common factor
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        R = fp.ring_new(p, ["x", "y", "z"])
+        order = rng.choice([fp.lex(), fp.grevlex()])
+        gens = [random_polynomial(rng, R, 2, max_terms=3, nonzero=True) for _ in range(2)]
+        d = random_polynomial(rng, R, 1, max_terms=2, nonzero=True)
+        yield gb.ideal(R, gens), order
+        yield gb.ideal(R, [d * g for g in gens]), order
 
 
 def test_fedder_colon_matches_elimination(monkeypatch):
-    # the closed form of Fedder's lemma for complete intersections against
-    # the general route I^[p] : I by elimination, which only the last kind takes
+    # the closed forms against the general route I^[p] : I by elimination,
+    # which only the last kind takes on I itself (a common factor may leave
+    # a quotient ideal that does)
     routed = []
     monkeypatch.setattr(fr, "colon_ideal", lambda *a: routed.append(a) or ops.colon_ideal(*a))
-    seen = dict.fromkeys(["unit", "principal", "complete intersection", "neither"], 0)
+    seen = dict.fromkeys(
+        ["unit", "principal", "complete intersection", "complete intersection by height", "common factor", "neither"],
+        0,
+    )
     for I, order in _fedder_colon_cases():
         kind = _colon_kind(I, order)
         del routed[:]
         got = gb.reduced_gb(fr.fedder_colon(I, order), order)
-        assert bool(routed) == (kind == "neither")
+        assert any(J is I for _, J, _ in routed) == (kind == "neither")
         expected = ops.colon_ideal(ops.bracket_power(I, 1), I, order)
         assert got.elements == gb.reduced_gb(expected, order).elements
         seen[kind] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_common_factor_colon_pairs_pinned():
+    # x11 * (2x3 minors): the reduced basis of I (2 pairs), one principal
+    # colon for the gcd x11 (3), and elimination on the minors, which are no
+    # complete intersection (100); elimination on I itself costs as much as
+    # on the minors, so the gcd's colon is the difference
+    order = fp.grevlex()
+    with gb.Budget() as budget:
+        fr.fedder_colon(_times_minors(2, "x11"), order)
+    assert budget.pairs == 105
+    I = _times_minors(2, "x11")
+    with gb.Budget() as elimination:
+        gb.reduced_gb(I, order)
+        ops.colon_ideal(ops.bracket_power(I, 1), I, order)
+    assert elimination.pairs == 102
 
 
 def test_fedder_colon_of_zero_ideal_is_unit():
