@@ -137,34 +137,31 @@ def _closed_form_colon(I: IdealPresentation, order) -> IdealPresentation | None:
     """
     ring = I.ring
     G = reduced_gb(I, order)
-    leads = G.leading_monomials()
-    # how many leading monomials each variable divides
-    counts = [sum(map(bool, column)) for column in zip(*(m.exponents for m in leads))]
-    if max(counts, default=0) <= 1:
+    monomials = G.leading_monomials()
+    leads = [m.exponents for m in monomials]
+    # each variable in at most one leading monomial
+    if all(sum(map(bool, column)) <= 1 for column in zip(*leads)):
         # pairwise disjoint supports: ht I = |G| with no search (this covers
         # the zero, unit and every principal ideal)
         return _complete_intersection_colon(ring, G.elements, order)
-    gens = G.elements if len(G) < len(I.generators) else I.generators
-    if max(counts) == len(leads):
-        height = 1  # a variable divides every leading monomial
-    elif len(gens) < len(G) and len(gens) <= ring.n:
-        height = ring.n - monomial_dimension(MonomialIdeal(ring, leads))
-    else:
-        # two leading monomials share a variable, so |G| - 1 variables meet
-        # them all: ht I < |G|, and ht I <= n
-        return None
-    if height == len(gens):
-        return _complete_intersection_colon(ring, gens, order)
-    if height > 1:
-        return None
-    d = _common_factor(gens, order)
-    rest = IdealPresentation(ring, tuple(exact_divide(g, d, order) for g in gens))
-    # lm(d * f) = lm(d) * lm(f), so G / d is a Groebner basis of I / d
-    basis = presentation_from_gb(ring, [exact_divide(g, d, order) for g in G], order)
-    rest._gb_cache[order] = reduced_gb(basis, order)
-    h = d ** (ring.p - 1)
-    # and h times a Groebner basis of the quotients' colon is one of h times it
-    return presentation_from_gb(ring, [h * c for c in reduced_gb(fedder_colon(rest, order), order)], order)
+    # two leading monomials share a variable, so |G| - 1 variables meet them
+    # all: ht I < |G|
+    if any(all(column) for column in zip(*leads)):
+        # a variable divides every leading monomial: ht I = 1, and I is not principal
+        gens = G.elements if len(G) < len(I.generators) else I.generators
+        d = _common_factor(gens, order)
+        rest = IdealPresentation(ring, tuple(exact_divide(g, d, order) for g in gens))
+        # lm(d * f) = lm(d) * lm(f), so G / d is a Groebner basis of I / d
+        basis = presentation_from_gb(ring, [exact_divide(g, d, order) for g in G], order)
+        rest._gb_cache[order] = reduced_gb(basis, order)
+        h = d ** (ring.p - 1)
+        # and h times a Groebner basis of the quotients' colon is one of h times it
+        return presentation_from_gb(ring, [h * c for c in reduced_gb(fedder_colon(rest, order), order)], order)
+    # so 2 <= ht I < |G|: only fewer generators, at most n, can be a regular sequence
+    k = len(I.generators)
+    if k < len(G) and k <= ring.n and ring.n - monomial_dimension(MonomialIdeal(ring, monomials)) == k:
+        return _complete_intersection_colon(ring, I.generators, order)
+    return None
 
 
 def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
