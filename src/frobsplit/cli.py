@@ -594,7 +594,7 @@ _COMMANDS = {
     "star": (cmd_star, "apply carrier * trace to a polynomial", (*_PROBLEM, _CARRIER, _ON)),
     "is-splitting": (cmd_is_splitting, "check the two splitting conditions", (*_PROBLEM, _POLY)),
     "fedder": (cmd_fedder, "membership in the Fedder colon I^[p] : I", (*_PROBLEM, _IDEAL, _POLY)),
-    "compatible": (cmd_compatible, "direct compatibility check by coset enumeration",
+    "compatible": (cmd_compatible, "direct compatibility check by residue buckets of f * g",
                    (*_PROBLEM, _IDEAL, _POLY)),
     "fsplit": (cmd_fsplit, "graded Fedder test for F-splitness of S/I", (*_PROBLEM, _IDEAL, *_CERT)),
     "charp-cert": (cmd_charp_cert, "squarefree-initial-ideal certificate via the Fedder colon",

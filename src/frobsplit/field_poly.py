@@ -8,19 +8,21 @@ objects never mutate after construction, so they are safe to share across
 threads.  Outside input is checked once, by ``RingContext.polynomial`` and
 ``RingContext.monomial``; the library builds everything else through the
 unchecked constructors, guarding only against exponent overflow where
-exponents add up.
+exponents grow.
 
-Monomial orders (lex, grevlex, weight vector with tiebreak) compare monomials
-through *additive integer key vectors*: ``key(m * m') == key(m) + key(m')``
-componentwise, and lexicographic comparison of keys realises the order.  The
-Buchberger kernel relies on this to sort and shift terms with plain tuple
-arithmetic.
+Each monomial order (lex, grevlex, weight vector with tiebreak, elimination)
+writes its key once, as ``sort_key(n)``: an *additive* integer key vector,
+``sort_key(m * m') == sort_key(m) + sort_key(m')`` componentwise, ascending
+in descending order; the public ``key`` is its negation.  The Buchberger
+kernel relies on this to sort and shift terms with plain tuple arithmetic.
+Every sparse sum of terms mod p goes through :func:`_accumulate`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add, mul, neg
 from typing import NamedTuple
 
 # Bracket powers scale exponents by p^e; beyond this the build fails loudly
@@ -190,8 +192,19 @@ def _check_exponents(ring: RingContext, exponents: tuple) -> None:
             raise ExponentOverflowError(f"exponent {e} exceeds MAX_EXPONENT")
 
 
+def _accumulate(out: dict, terms, p: int) -> dict:
+    """Add ``(exponents, coefficient)`` pairs into ``out`` mod p; no zero entry is kept."""
+    for e, c in terms:
+        v = (out.get(e, 0) + c) % p
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
 def _check_growth(exponent_tuples) -> None:
-    """Overflow guard for the operations that add exponents."""
+    """Overflow guard for the operations that grow exponents."""
     top = max(map(max, exponent_tuples), default=0)
     if top > MAX_EXPONENT:
         raise ExponentOverflowError(f"exponent {top} exceeds MAX_EXPONENT")
@@ -317,27 +330,12 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._same_ring(other)
-        p = self.ring.p
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = (out.get(e, 0) + c) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _accumulate(dict(self._coeffs), other._coeffs.items(), self.ring.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._same_ring(other)
-        p = self.ring.p
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = (out.get(e, 0) - c) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        negated = zip(other._coeffs, map(neg, other._coeffs.values()))
+        return Polynomial(self.ring, _accumulate(dict(self._coeffs), negated, self.ring.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.ring.p
@@ -353,13 +351,7 @@ class Polynomial:
             a, b = b, a
         out: dict[tuple, int] = {}
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = (out.get(e, 0) + ca * cb) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+            _accumulate(out, ((tuple(map(add, ea, eb)), ca * cb) for eb, cb in b.items()), p)
         _check_growth(out)
         return Polynomial(self.ring, out)
 
@@ -403,17 +395,8 @@ class Polynomial:
     def substitute(self, i: int, value: int) -> "Polynomial":
         """Substitute variable i by a field constant (stays in the same ring)."""
         p = self.ring.p
-        value %= p
-        out: dict[tuple, int] = {}
-        for e, c in self._coeffs.items():
-            scale = pow(value, e[i], p) if e[i] else 1
-            ne = e[:i] + (0,) + e[i + 1 :]
-            v = (out.get(ne, 0) + c * scale) % p
-            if v:
-                out[ne] = v
-            else:
-                out.pop(ne, None)
-        return Polynomial(self.ring, out)
+        terms = ((e[:i] + (0,) + e[i + 1 :], c * pow(value, e[i], p)) for e, c in self._coeffs.items())
+        return Polynomial(self.ring, _accumulate({}, terms, p))
 
     # -- order-dependent views ----------------------------------------------
 
@@ -421,7 +404,7 @@ class Polynomial:
         """The maximal monomial under the order and its coefficient."""
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        e = max(self._coeffs, key=order.key)
+        e = min(self._coeffs, key=order.sort_key(self.ring.n))
         return Monomial(self.ring, e), self._coeffs[e]
 
     def leading_monomial(self, order) -> Monomial:
@@ -449,6 +432,8 @@ class Polynomial:
     def weighted_degree(self, weights) -> int:
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no weighted degree")
+        if len(weights) != self.ring.n:
+            raise FieldPolyError("weight vector length does not match the ring")
         return max(sum(w * x for w, x in zip(weights, e)) for e in self._coeffs)
 
     def text(self, order=None) -> str:
@@ -458,7 +443,7 @@ class Polynomial:
         if order is None:
             order = grevlex()
         parts = []
-        for e in sorted(self._coeffs, key=order.key, reverse=True):
+        for e in sorted(self._coeffs, key=order.sort_key(self.ring.n)):
             c = self._coeffs[e]
             mono = monomial_text(self.ring, e)
             if mono == "1":
@@ -502,7 +487,7 @@ class MonomialOrder:
     """lex, grevlex, or a strictly positive weight vector with a tiebreak.
 
     ``key`` maps an exponent tuple to an integer tuple whose lexicographic
-    comparison realises the order; keys are additive in the exponents.
+    comparison realises the order; it is the negation of :meth:`sort_key`.
     """
 
     kind: str
@@ -524,21 +509,21 @@ class MonomialOrder:
             if self.weight is not None or self.tiebreak is not None:
                 raise FieldPolyError(f"{self.kind} order takes no weight/tiebreak")
 
-    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        kind = self.kind
-        if kind == "lex":
-            return exps
-        if kind == "grevlex":
-            return (sum(exps),) + tuple(-e for e in reversed(exps))
+    def sort_key(self, n: int):
+        """``e -> -key(e)`` on exponent tuples of length n: ascending is descending in the order."""
+        if self.kind == "lex":
+            return lambda e: tuple(map(neg, e))
+        if self.kind == "grevlex":
+            return lambda e: (-sum(e),) + e[::-1]
         w = self.weight
-        if len(w) != len(exps):
+        if len(w) != n:
             raise FieldPolyError("weight vector length does not match exponents")
-        s = 0
-        for wi, ei in zip(w, exps):
-            s += wi * ei
         if self.tiebreak == "lex":
-            return (s,) + exps
-        return (s, sum(exps)) + tuple(-e for e in reversed(exps))
+            return lambda e: (-sum(map(mul, w, e)),) + tuple(map(neg, e))
+        return lambda e: (-sum(map(mul, w, e)), -sum(e)) + e[::-1]
+
+    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(neg, self.sort_key(len(exps))(exps)))
 
     def text(self) -> str:
         if self.kind == "weight":
@@ -556,8 +541,13 @@ class EliminationOrder:
 
     base: MonomialOrder
 
+    def sort_key(self, n: int):
+        """``e -> -key(e)`` on exponent tuples of length n: ascending is descending in the order."""
+        base = self.base.sort_key(n - 1)
+        return lambda e: (-e[-1],) + base(e[:-1])
+
     def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        return (exps[-1],) + self.base.key(exps[:-1])
+        return tuple(map(neg, self.sort_key(len(exps))(exps)))
 
 
 def lex() -> MonomialOrder:
@@ -751,12 +741,7 @@ def parse_polynomial_stream(ring: RingContext, ts: TokenStream) -> Polynomial:
                 terms = ((tuple(e), c),) if c else ()
             else:
                 terms = P.multiply_monomial(Monomial(ring, tuple(e)), c)._coeffs.items()
-            for m, v in terms:
-                v = (acc.get(m, 0) + sign * v) % p
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
+            _accumulate(acc, ((m, sign * v) for m, v in terms), p)
             tok = ts.peek()
             if tok is None or tok.kind not in ("+", "-"):
                 return Polynomial(ring, acc)

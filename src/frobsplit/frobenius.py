@@ -38,18 +38,11 @@ from .ideal_ops import (
 
 def trace(g: Polynomial) -> Polynomial:
     """Project onto the dual of the top basis monomial of F_*S over S."""
-    ring = g.ring
-    p = ring.p
-    out: dict[tuple, int] = {}
-    for e, c in g.terms_dict().items():
-        if all(a % p == p - 1 for a in e):
-            ne = tuple((a - (p - 1)) // p for a in e)
-            v = (out.get(ne, 0) + c) % p
-            if v:
-                out[ne] = v
-            else:
-                out.pop(ne, None)
-    return Polynomial(ring, out)
+    p = g.ring.p
+    # a surviving exponent a is p-1 mod p, so (a - (p-1)) / p is a // p; that
+    # map is one-to-one on the surviving terms, so no two of them merge
+    kept = {tuple(a // p for a in e): c for e, c in g.terms_dict().items() if all(a % p == p - 1 for a in e)}
+    return Polynomial(g.ring, kept)
 
 
 def star_apply(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -2,13 +2,13 @@
 
 The public operations work on :class:`~frobsplit.field_poly.Polynomial`
 values; internally polynomials are flattened to lists of ``(nkey, exponents,
-coefficient)`` triples sorted ascending, where ``nkey`` is the negated
-additive key vector of the order (:func:`_kernel_key`): the leading term
-comes first, and a shifted term's key is a sum.  Division keeps the active
-terms in a dict plus a lazy min-heap of keys, so each reduction step costs
-one heap pop plus one shifted merge of the reducer tail.  An S-pair is the
-first step of its own reduction: the shifted tail of one element seeds the
-heap and the other element is subtracted from it like any reducer.
+coefficient)`` triples sorted ascending, where ``nkey`` is the order's
+``sort_key``, its negated additive key vector: the leading term comes first,
+and a shifted term's key is a sum.  Division keeps the active terms in a
+dict plus a lazy min-heap of keys, so each reduction step costs one heap pop
+plus one shifted merge of the reducer tail.  An S-pair is the first step of
+its own reduction: the shifted tail of one element seeds the heap and the
+other element is subtracted from it like any reducer.
 
 Pairs are filtered when they are created, by the installation of Gebauer
 and Moeller: each new element drops the queued pairs it makes redundant
@@ -32,10 +32,9 @@ from __future__ import annotations
 import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import add, le, mul, neg, sub
+from operator import add, le, neg, sub
 
 from .field_poly import (
-    EliminationOrder,
     FieldPolyError,
     Monomial,
     Polynomial,
@@ -87,23 +86,6 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", defau
 
 # -- kernel -------------------------------------------------------------------
 # A kernel polynomial is a list of (nkey, exp, coeff) sorted ascending by nkey.
-
-
-def _kernel_key(order, n: int):
-    """The function ``e -> -order.key(e)`` on exponent tuples of length n."""
-    if isinstance(order, EliminationOrder):
-        base = _kernel_key(order.base, n - 1)
-        return lambda e: (-e[-1],) + base(e[:-1])
-    if order.kind == "lex":
-        return lambda e: tuple(map(neg, e))
-    if order.kind == "grevlex":
-        return lambda e: (-sum(e),) + e[::-1]
-    w = order.weight
-    if len(w) != n:
-        raise FieldPolyError("weight vector length does not match exponents")
-    if order.tiebreak == "lex":
-        return lambda e: (-sum(map(mul, w, e)),) + tuple(map(neg, e))
-    return lambda e: (-sum(map(mul, w, e)), -sum(e)) + e[::-1]
 
 
 def _to_terms(f: Polynomial, nkey):
@@ -249,7 +231,7 @@ def _subtract(coeffs, heap, red, e, nk, c, p):
     return shift_key, shift, c
 
 
-def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
+def _buchberger(inputs, nkey, p, pair_noise=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
     Pairs are installed by the Gebauer-Moeller update, so every pair left in
@@ -303,7 +285,7 @@ def _buchberger(inputs, keyf, nkey, p, pair_noise=None):
                     break
         for (lcm, mask, g, coprime), ok in zip(new, alive):
             if ok and not coprime:
-                sel = (sum(lcm), keyf(lcm), g, h)
+                sel = (sum(lcm), tuple(map(neg, nkey(lcm))), g, h)
                 if pair_noise is not None:
                     sel = (pair_noise((g, h)),) + sel
                 heapq.heappush(heap, (sel, g, h, lcm, mask))
@@ -474,7 +456,7 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     if not f:
         return f
     p = f.ring.p
-    nkey = _kernel_key(order, f.ring.n)
+    nkey = order.sort_key(f.ring.n)
     reducers = [_Reducer(_to_terms(g, nkey), p) for g in basis]
     r = _reduce(*_heap(_to_terms(f, nkey)), reducers, p)
     return _from_terms(f.ring, r)
@@ -486,13 +468,13 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     if cached is not None and _pair_noise is None:
         return cached
     p = I.ring.p
-    nkey = _kernel_key(order, I.ring.n)
+    nkey = order.sort_key(I.ring.n)
     inputs = [_to_terms(g, nkey) for g in I.generators]
     if all(len(t) == 1 for t in inputs):
         # a monomial ideal's minimal generators are its reduced basis
         basis = _autoreduce([_Reducer(t, p) for t in inputs], p)
     else:
-        basis = _buchberger(inputs, order.key, nkey, p, pair_noise=_pair_noise)
+        basis = _buchberger(inputs, nkey, p, pair_noise=_pair_noise)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)
@@ -507,7 +489,7 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     responsible for the basis property; the test suite re-checks it on
     fixtures via the S-pair criterion.
     """
-    nkey = _kernel_key(order, ring.n)
+    nkey = order.sort_key(ring.n)
     reducers = [_Reducer(_to_terms(g, nkey), ring.p) for g in elements if g]
     basis = _autoreduce(reducers, ring.p)
     return ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis)).presentation()
@@ -518,7 +500,7 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     if f.ring != g.ring:
         raise RingMismatchError("polynomials from different rings")
     p = g.ring.p
-    nkey = _kernel_key(order, g.ring.n)
+    nkey = order.sort_key(g.ring.n)
     f_terms = _to_terms(f, nkey)
     q = _divide(*_heap(_to_terms(g, nkey)), _Reducer(f_terms, p), p)
     if q is None:

@@ -30,6 +30,8 @@ from .field_poly import (
     Polynomial,
     RingContext,
     ZeroPolynomialError,
+    _accumulate,
+    _check_growth,
     order_for_weight_refinement,
     validate_weights,
 )
@@ -171,7 +173,9 @@ def frobenius_power_poly(f: Polynomial, e: int) -> Polynomial:
     """f^(p^e) by Frobenius: scale exponents, coefficients are fixed by x -> x^p."""
     p = f.ring.p
     q = p**e
-    return f.ring.polynomial({tuple(a * q for a in exp): c for exp, c in f.terms_dict().items()})
+    out = {tuple(a * q for a in exp): c for exp, c in f.terms_dict().items()}
+    _check_growth(out)
+    return Polynomial(f.ring, out)
 
 
 def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
@@ -224,7 +228,8 @@ def homogenize_w(I: IdealPresentation, weights, order) -> IdealPresentation:
         for e, c in g.terms_dict().items():
             wdeg = sum(w * a for w, a in zip(weights, e))
             terms[e + (d - wdeg,)] = c
-        gens.append(ext.polynomial(terms))
+        _check_growth(terms)
+        gens.append(Polynomial(ext, terms))
     hom = IdealPresentation(ext, tuple(gens))
     hom.provenance = {"weights": weights, "homogenizing_variable": ext.names[-1]}
     return hom
@@ -235,16 +240,8 @@ def dehomogenize(F: Polynomial) -> Polynomial:
     ring = F.ring
     if ring.base is None:
         raise FieldPolyError("polynomial does not live in an extended ring")
-    out: dict[tuple, int] = {}
-    p = ring.p
-    for e, c in F.terms_dict().items():
-        ne = e[:-1]
-        v = (out.get(ne, 0) + c) % p
-        if v:
-            out[ne] = v
-        else:
-            out.pop(ne, None)
-    return Polynomial(ring.base, out)
+    terms = ((e[:-1], c) for e, c in F.terms_dict().items())
+    return Polynomial(ring.base, _accumulate({}, terms, ring.p))
 
 
 def dehomogenize_ideal(H: IdealPresentation) -> IdealPresentation:

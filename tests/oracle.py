@@ -4,14 +4,19 @@ The degree-truncated linear-algebra Groebner oracle validates Buchberger
 output by a completely different route: build the Macaulay matrix of all
 monomial multiples of the generators up to a stated total degree, row-reduce
 it over F_p, and read the basis off the reduced row echelon form.  Columns
-are sorted descending under the monomial order, so row pivots are leading
-monomials; the rows whose pivots are minimal under divisibility are the
-reduced Groebner basis elements of degree at most the truncation bound (RREF
-has already cleared every other pivot monomial from their tails).
+are sorted descending under the monomial order by ``order_greater``, so row
+pivots are leading monomials; the rows whose pivots are minimal under
+divisibility are the reduced Groebner basis elements of degree at most the
+truncation bound (RREF has already cleared every other pivot monomial from
+their tails).
 
 The truncation is exact once the bound dominates the degrees that the
 completed basis needs; ``stable_gb`` grows the bound until the extracted
 basis agrees at two consecutive degrees.
+
+``order_greater`` compares two monomials by the textbook definition of each
+order, without the library's key vectors, so a fault in ``sort_key`` cannot
+hide in both the kernel and the Macaulay oracle.
 
 ``monomial_ideal_intersection_lcm`` checks monomial-ideal intersection
 against the pairwise-lcm formula.
@@ -30,12 +35,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from frobsplit.field_poly import (
     MAX_NESTING,
+    EliminationOrder,
     FieldPolyError,
     ParseError,
     Polynomial,
@@ -43,6 +50,40 @@ from frobsplit.field_poly import (
     ZeroPolynomialError,
 )
 from frobsplit.groebner import MonomialIdeal
+
+
+def order_greater(order, a: tuple, b: tuple) -> bool:
+    """Whether x^a > x^b, by the definition of the order.
+
+    lex: the first differing exponent is larger.  grevlex: the total degree
+    is larger, or on a tie the last differing exponent is smaller.  weight:
+    the weighted degree is larger, or on a tie the tiebreak order decides.
+    elimination: the last exponent is larger, or on a tie the base order
+    decides on the other variables.
+    """
+    if a == b:
+        return False
+    if isinstance(order, EliminationOrder):
+        if a[-1] != b[-1]:
+            return a[-1] > b[-1]
+        return order_greater(order.base, a[:-1], b[:-1])
+    kind = order.kind
+    if kind == "weight":
+        wa, wb = (sum(w * e for w, e in zip(order.weight, m)) for m in (a, b))
+        if wa != wb:
+            return wa > wb
+        kind = order.tiebreak
+    diff = [x - y for x, y in zip(a, b)]
+    if kind == "lex":
+        return next(d for d in diff if d) > 0
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    return next(d for d in reversed(diff) if d) < 0
+
+
+def sorted_descending(monomials, order) -> list:
+    """Exponent tuples sorted from largest to smallest by :func:`order_greater`."""
+    return sorted(monomials, key=cmp_to_key(lambda a, b: -1 if order_greater(order, a, b) else int(a != b)))
 
 
 def monomials_up_to(n: int, degree: int):
@@ -92,7 +133,7 @@ class MacaulayBasis:
         self.order = order
         self.max_degree = max_degree
         n = ring.n
-        cols = sorted(monomials_up_to(n, max_degree), key=order.key, reverse=True)
+        cols = sorted_descending(monomials_up_to(n, max_degree), order)
         self.columns = cols
         self.col_index = {e: i for i, e in enumerate(cols)}
         rows = []
@@ -134,15 +175,14 @@ class MacaulayBasis:
         return minimal
 
     def reduced_gb_candidate(self) -> list[Polynomial]:
-        """Rows whose pivots are divisibility-minimal, sorted ascending."""
+        """Rows whose pivots are divisibility-minimal, sorted ascending by pivot."""
         minimal = set(self.staircase())
-        polys = [
+        # pivot columns increase down the rows, so pivots descend in the order
+        return [
             self.row_polynomial(i)
-            for i, e in enumerate(self.pivot_exponents)
+            for i, e in reversed(list(enumerate(self.pivot_exponents)))
             if e in minimal
         ]
-        polys.sort(key=lambda f: self.order.key(f.leading_monomial(self.order).exponents))
-        return polys
 
     def contains(self, f: Polynomial) -> bool:
         """Vector-space membership of f in the row space (degree permitting)."""

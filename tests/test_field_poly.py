@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobsplit import field_poly as fp
+from frobsplit import ideal_ops as ops
 
 import oracle
 from conftest import random_polynomial
@@ -128,22 +129,8 @@ def test_grevlex_degree_two_enumeration():
     # oracle: sort the six degree-2 monomials in three variables directly by
     # the definition (degree first; ties: rightmost nonzero difference < 0)
     monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-
-    def greater(a, b):
-        if sum(a) != sum(b):
-            return sum(a) > sum(b)
-        diff = [x - y for x, y in zip(a, b)]
-        last = max(i for i, d in enumerate(diff) if d)
-        return diff[last] < 0
-
-    import functools
-
-    oracle = sorted(
-        monos,
-        key=functools.cmp_to_key(lambda a, b: -1 if greater(a, b) else 1),
-    )
     got = sorted(monos, key=fp.grevlex().key, reverse=True)
-    assert got == oracle
+    assert got == oracle.sorted_descending(monos, fp.grevlex())
     assert got == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     # in particular x2^2 > x1*x3
     assert fp.grevlex().key((0, 2, 0)) > fp.grevlex().key((1, 0, 1))
@@ -223,6 +210,39 @@ def test_zero_coefficients_never_stored():
     assert f.terms_dict() == {(0,): 3}
     assert (f - f).is_zero
 
+    # every sparse sum of the library against a naive dict sum, with g = h - f
+    # forcing cancellation against the terms of f
+    def naive(p, terms):
+        out = {}
+        for e, c in terms:
+            out[e] = out.get(e, 0) + c
+        return {e: c % p for e, c in out.items() if c % p}
+
+    rng = random.Random(15)
+    cancelled = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        ring = fp.ring_new(p, ["x", "y", "z"])
+        f = random_polynomial(rng, ring, 3, max_terms=6)
+        g = random_polynomial(rng, ring, 3, max_terms=6) - f
+        F, G = f.terms_dict().items(), g.terms_dict().items()
+        value = rng.randrange(p)
+        ext = ring.extend()
+        H = ext.polynomial({**{e + (0,): c for e, c in F}, **{e + (1,): c for e, c in G}})
+        cases = [
+            (f + g, naive(p, [*F, *G])),
+            (f - g, naive(p, [*F, *((e, -c) for e, c in G)])),
+            (f * g, naive(p, [(tuple(map(add, a, b)), c * d) for a, c in F for b, d in G])),
+            (f.substitute(1, value), naive(p, [((e[0], 0, e[2]), c * value ** e[1]) for e, c in F])),
+            (ring.parse(f"({f}) + ({g})"), naive(p, [*F, *G])),
+            (ops.dehomogenize(H), naive(p, [(e[:-1], c) for e, c in H.terms_dict().items()])),
+        ]
+        for got, want in cases:
+            assert got.terms_dict() == want
+            assert all(0 < c < p for c in got.terms_dict().values())
+        cancelled += len(f + g) < len(F) + len(G)
+    assert cancelled > 100
+
 
 def test_leading_term_examples():
     R = fp.ring_new(5, ["x1", "x2", "x3", "x4"])
@@ -258,6 +278,11 @@ def test_initial_w_examples():
     assert R2.parse("x^2 + y").initial_w((1, 1)) == R2.parse("x^2")
     with pytest.raises(fp.ZeroPolynomialError):
         R2.zero().initial_w((1, 1))
+    # a weight vector of the wrong length is an error, never truncated
+    R3 = fp.ring_new(5, ["x", "y", "z"])
+    for method in (fp.Polynomial.initial_w, fp.Polynomial.weighted_degree):
+        with pytest.raises(fp.FieldPolyError):
+            method(R3.parse("x^2*y + z"), (1, 2))
 
 
 @settings(max_examples=200, deadline=None)
