@@ -28,7 +28,6 @@ pipeline it means the caller's primality assertion was wrong).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from .ideal_ops import (
     fiber_at_zero,
     homogenize_w,
     initial_forms_ideal,
-    intersect,
+    intersect_all,
     is_weight_homogeneous,
     monomial_dimension,
     symbolic_power_prime,
@@ -122,10 +121,6 @@ class Certificate:
 def _digest(order_text: str, entry: dict) -> str:
     blob = json.dumps({"order": order_text, "ideal": entry}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _intersection(ideals: list, order) -> IdealPresentation:
-    return functools.reduce(lambda A, B: intersect(A, B, order), ideals)
 
 
 def _step(op: str, args: dict, expect: dict) -> dict:
@@ -367,7 +362,7 @@ def symb_certificate(primes, order) -> Certificate | NotFound:
     h = max(values[2::3])
 
     symbolic_powers = [symbolic_power_prime(P, h, g, order) for P, g in primes]
-    gb_ih = reduced_gb(_intersection(symbolic_powers, order), order)
+    gb_ih = reduced_gb(intersect_all(symbolic_powers, order), order)
     hit = next((f for f in gb_ih.elements if f.leading_monomial(order).is_squarefree()), None)
     if hit is None:
         return NotFound(
@@ -375,7 +370,7 @@ def symb_certificate(primes, order) -> Certificate | NotFound:
             {"height": h, "leading_monomials": [m.text() for m in gb_ih.leading_monomials()]},
         )
 
-    gb_rad = reduced_gb(_intersection([P for P, _ in primes], order), order)
+    gb_rad = reduced_gb(intersect_all([P for P, _ in primes], order), order)
     leads = [g.leading_monomial(order) for g in gb_rad.elements]
     if not all(m.is_squarefree() for m in leads):
         raise InconsistentInputError(
@@ -574,7 +569,7 @@ _REPLAY = {
     "symbolic_power": lambda ctx, a: symbolic_power_prime(
         ctx.ideal(a["ideal"]), a["m"], ctx.ring.parse(a["witness"]), ctx.order
     ),
-    "intersection": lambda ctx, a: _intersection([ctx.ideal(n) for n in a["ideals"]], ctx.order),
+    "intersection": lambda ctx, a: intersect_all([ctx.ideal(n) for n in a["ideals"]], ctx.order),
     "weight_gb": lambda ctx, a: IdealPresentation(ctx.ring, reduced_gb(
         ctx.ideal(a["ideal"]), order_for_weight_refinement(tuple(a["weights"]), ctx.order)
     ).elements),

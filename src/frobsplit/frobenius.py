@@ -13,7 +13,8 @@ unique carrier f, which makes splitting questions polynomial arithmetic:
   which is ``I^[p] + (g_1...g_k)^(p-1)`` when the shorter of the reduced
   basis and the generators has ``k = ht I`` elements (a complete
   intersection), ``d^(p-1)`` times the colon of ``I / d`` when ``ht I = 1``
-  and d is the gcd of the generators, and is built by elimination otherwise;
+  and d is a common factor of the generators, and is built by elimination
+  otherwise;
 * an ideal is compatible with a splitting iff the images of the coset
   representatives ``x^a * g`` (a below p, g a generator) all lie in it, which
   :func:`compatible_check` reads off one product ``f * g`` per generator,
@@ -112,10 +113,16 @@ def _complete_intersection_colon(ring: RingContext, gens, order) -> IdealPresent
 
 
 def _common_factor(gens, order) -> Polynomial:
-    """The gcd of gens, through principal colons: ``(g) : d = (g / gcd(g, d))``.
+    """A common factor of gens, a unit only when their gcd is.
 
-    Once d divides the next generator, its colon is one exact division.
+    The monomial part of the gcd, the least exponent of each variable over
+    every term, costs no pair.  When it is 1, the gcd comes through principal
+    colons, ``(g) : d = (g / gcd(g, d))``; once d divides the next generator,
+    its colon is one exact division.
     """
+    least = tuple(map(min, zip(*(e for g in gens for e in g.terms_dict()))))
+    if any(least):
+        return Polynomial(gens[0].ring, {least: 1})
     d = gens[0]
     for g in gens[1:]:
         (q,) = colon(IdealPresentation(d.ring, (g,)), d, order).generators
@@ -165,8 +172,9 @@ def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     colon as ``(g^p for g in gens) + ((prod gens)^(p-1))``; pairwise disjoint
     leading supports of the reduced basis prove this with no search, and
     cover the zero, unit and principal ideals.  When ``ht I = 1``, the colon
-    is ``d^(p-1)`` times the colon of ``I / d``, d the gcd of the generators
-    (see docs/notes.md).  Otherwise, or when a closed form passes the
+    is ``d^(p-1)`` times the colon of ``I / d``, d the monomial part of the
+    gcd of the generators, or the gcd itself when that part is 1 (see
+    docs/notes.md).  Otherwise, or when a closed form passes the
     exponent cap, the colon is built by elimination.
     """
     key = ("fedder_colon", order)

@@ -15,11 +15,19 @@ and Moeller: each new element drops the queued pairs it makes redundant
 (criterion B), keeps one new pair per minimal lcm and none whose leading
 monomials are coprime (criteria M and F), and retires every element whose
 leading monomial it divides.  Every pair that survives to be popped is
-reduced; pairs are popped by the normal strategy (minimal lcm degree, then
-lcm key).  The output is the unique reduced Groebner basis, so the result is
-independent of the selection strategy; a private hook lets tests randomize
-selection to check exactly that.  An ideal generated by single terms forms
-no pairs: its minimal generators, made monic, are its reduced basis.
+reduced; pairs are popped by the sugar strategy of Giovini, Mora, Niesi,
+Robbiano and Traverso (minimal sugar, then lcm degree, then lcm key): an
+input's sugar is its total degree, a pair's is the larger of its two halves'
+sugar shifted to the lcm, and a new element keeps the sugar of its pair, so
+an inhomogeneous input (such as an elimination's ``t*f`` and ``(1-t)*g``)
+is worked through as if it were homogenized.  An elimination may also mark
+inputs that already form a Groebner basis (times one common factor); the
+pairs inside such a block have a standard representation and are never
+queued (see docs/notes.md, "Known bases in an elimination").  The output is
+the unique reduced Groebner basis, so the result is independent of the
+selection strategy; a private hook lets tests randomize selection to check
+exactly that.  An ideal generated by single terms forms no pairs: its
+minimal generators, made monic, are its reduced basis.
 
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
@@ -231,27 +239,38 @@ def _subtract(coeffs, heap, red, e, nk, c, p):
     return shift_key, shift, c
 
 
-def _buchberger(inputs, nkey, p, pair_noise=None):
+def _buchberger(inputs, nkey, p, pair_noise=None, blocks=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
     Pairs are installed by the Gebauer-Moeller update, so every pair left in
     the queue is reduced when popped, and each is charged to the active
-    budget.  ``pair_noise`` is a test-only hook: a callable mapping a pair to
-    an extra leading component of its selection key, used to scramble the
-    strategy and exercise the uniqueness of the reduced basis.
+    budget.  Pairs are selected by sugar, then lcm degree, then lcm key.
+    ``blocks`` labels the inputs: inputs sharing a label other than None form
+    a Groebner basis, times one common factor, so a pair inside a block has a
+    standard representation and is treated like a coprime pair: never queued,
+    but kept to drop the pairs it covers.  ``pair_noise`` is a test-only hook:
+    a callable mapping a pair to an extra leading component of its selection
+    key, used to scramble the strategy and exercise the uniqueness of the
+    reduced basis.
     """
     budget = _ACTIVE_BUDGET.get() or Budget()
     reducers = []
+    # per element: its block label, and its sugar minus the degree of its lm
+    labels = []
+    spare = []
     active = []
     heap = []
 
-    def install(terms):
+    def install(terms, sugar, label=None):
         """Add one element and update the pair queue and the active set."""
         nonlocal heap, active
         h = len(reducers)
         red = _Reducer(terms, p)
         reducers.append(red)
+        labels.append(label)
         lh, mh = red.lm, red.mask
+        spare_h = sugar - sum(lh)
+        spare.append(spare_h)
         # criterion B: drop a queued (i, j) when lm(h) divides lcm(i, j) and
         # both lcm(i, h) and lcm(j, h) properly divide it
         kept = []
@@ -269,23 +288,28 @@ def _buchberger(inputs, nkey, p, pair_noise=None):
             heapq.heapify(heap)
         # criteria M and F on the new pairs (g, h), as in Gebauer and
         # Moeller: a pair goes when another surviving new pair's lcm divides
-        # its own; a coprime pair is never dropped here, so it still removes
-        # the pairs it covers, and is itself dropped afterwards
+        # its own; a pair with a known standard representation (coprime
+        # leading monomials, or both ends in one block) is never dropped
+        # here, so it still removes the pairs it covers, and is itself
+        # dropped afterwards
         new = []
         for g in active:
             rg = reducers[g]
-            new.append((_lcm(rg.lm, lh), rg.mask | mh, g, not rg.mask & mh))
+            known = not rg.mask & mh or (label is not None and labels[g] == label)
+            new.append((_lcm(rg.lm, lh), rg.mask | mh, g, known))
         alive = [True] * len(new)
-        for a, (lcm, mask, _, coprime) in enumerate(new):
-            if coprime:
+        for a, (lcm, mask, _, known) in enumerate(new):
+            if known:
                 continue
             for b, (lcm_b, mask_b, _, _) in enumerate(new):
                 if b != a and alive[b] and not mask_b & ~mask and _divides(lcm_b, lcm):
                     alive[a] = False
                     break
-        for (lcm, mask, g, coprime), ok in zip(new, alive):
-            if ok and not coprime:
-                sel = (sum(lcm), tuple(map(neg, nkey(lcm))), g, h)
+        for (lcm, mask, g, known), ok in zip(new, alive):
+            if ok and not known:
+                degree = sum(lcm)
+                # the sugar of S(g, h): the larger sugar of its two halves
+                sel = (max(spare[g], spare_h) + degree, degree, tuple(map(neg, nkey(lcm))), g, h)
                 if pair_noise is not None:
                     sel = (pair_noise((g, h)),) + sel
                 heapq.heappush(heap, (sel, g, h, lcm, mask))
@@ -296,18 +320,20 @@ def _buchberger(inputs, nkey, p, pair_noise=None):
         ]
         active.append(h)
 
-    for terms in inputs:
+    # an input's sugar is its total degree
+    for terms, label in zip(inputs, blocks or [None] * len(inputs)):
         if terms:
-            install(terms)
+            install(terms, max(sum(e) for _, e, _ in terms), label)
 
     while heap:
-        _, i, j, _, _ = heapq.heappop(heap)
+        _, i, j, lcm, _ = heapq.heappop(heap)
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
         r = _reduce(*_spair(reducers[i], reducers[j], p, nkey), [reducers[g] for g in active], p)
         if r:
-            install(r)
+            # a new element inherits the sugar of its pair
+            install(r, max(spare[i], spare[j]) + sum(lcm))
 
     return _autoreduce([reducers[g] for g in active], p)
 
@@ -462,8 +488,13 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     return _from_terms(f.ring, r)
 
 
-def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
-    """Unique reduced Groebner basis of the ideal; cached per order."""
+def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None, _blocks=None) -> ReducedGB:
+    """Unique reduced Groebner basis of the ideal; cached per order.
+
+    ``_blocks`` is private to the elimination in ``ideal_ops``: labels
+    parallel to the generators, where generators sharing a label other than
+    None are a Groebner basis times one common factor (see ``_buchberger``).
+    """
     cached = I._gb_cache.get(order)
     if cached is not None and _pair_noise is None:
         return cached
@@ -474,7 +505,7 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
         # a monomial ideal's minimal generators are its reduced basis
         basis = _autoreduce([_Reducer(t, p) for t in inputs], p)
     else:
-        basis = _buchberger(inputs, nkey, p, pair_noise=_pair_noise)
+        basis = _buchberger(inputs, nkey, p, pair_noise=_pair_noise, blocks=_blocks)
     gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)

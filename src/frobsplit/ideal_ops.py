@@ -3,13 +3,17 @@
 Intersections are computed by eliminating an auxiliary variable from
 ``t*A + (1-t)*B``; the auxiliary variable is appended internally and never
 appears in results, and the ``t``-free part of the reduced elimination basis
-is kept as the reduced basis of ``A ∩ B``.  Colons divide the generators of
-``I ∩ (f)`` exactly by ``f``; that quotient set is again a Groebner basis, so
-colon and intersection results come back with their reduced basis
-pre-cached.  A principal colon ``(h) : f`` with ``f`` dividing ``h`` is
-``(h/f)`` and skips the intersection.  Saturation iterates the colon
-until the reduced bases agree and records the stabilization exponent in the
-result's provenance.
+is kept as the reduced basis of ``A ∩ B``.  An input that caches its reduced
+basis enters as that basis, and the kernel forms no pair inside it.
+Intersections of several ideals go pairwise in a balanced tree.  Colons
+divide the generators of ``I ∩ (f)`` exactly by ``f``; that quotient set is
+again a Groebner basis, so colon and intersection results come back with
+their reduced basis pre-cached.  A principal colon ``(h) : f`` with ``f``
+dividing ``h`` is ``(h/f)``, and ``I : f`` with ``f`` in ``I`` is ``(1)``;
+both skip the intersection.  A bracket power ``I^[q]`` inherits the reduced
+bases cached on ``I``, raised to the ``q``-th power.  Saturation iterates the
+colon until the reduced bases agree and records the stabilization exponent
+in the result's provenance.
 
 Weight homogenization follows the ideal-level construction: first a Groebner
 basis under the weight order (homogenizing raw generators is not enough),
@@ -74,11 +78,16 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
         return IdealPresentation(ring, ())
     ext = ring.extend()
     t = ext.variable(ext.n - 1)
-    one_minus_t = ext.one() - t
-    gens = [t * embed(a, ext) for a in A.generators]
-    gens += [one_minus_t * embed(b, ext) for b in B.generators]
+    gens, blocks = [], []
+    for label, (X, factor) in enumerate(((A, t), (B, ext.one() - t))):
+        # a cached reduced basis G of X stands in for its generators: factor * G
+        # is a Groebner basis, so the kernel forms no pair inside it
+        known = X._gb_cache.get(order)
+        basis = X.generators if known is None else known.elements
+        gens += [factor * embed(g, ext) for g in basis]
+        blocks += [None if known is None else label] * len(basis)
     elim = EliminationOrder(order)
-    gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim)
+    gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim, _blocks=blocks)
     # the t-free part of a reduced elimination basis is the reduced basis of
     # the intersection for the base order; an element is t-free iff its
     # leading monomial is, so in the ascending basis those elements come first
@@ -89,6 +98,20 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
             break
         kept.append(Polynomial(ring, {e[:-1]: c for e, c in terms.items()}))
     return ReducedGB(ring, order, tuple(kept)).presentation()
+
+
+def intersect_all(ideals, order) -> IdealPresentation:
+    """The intersection of a nonempty list of ideals, pairwise in a balanced tree.
+
+    Intersecting neighbours round by round keeps both inputs of each
+    elimination small, where a left fold feeds one ever larger basis into
+    every step.
+    """
+    ideals = list(ideals)
+    while len(ideals) > 1:
+        paired = [intersect(A, B, order) for A, B in zip(ideals[::2], ideals[1::2])]
+        ideals = paired + ideals[len(paired) * 2:]
+    return ideals[0]
 
 
 def exact_divide(g: Polynomial, f: Polynomial, order) -> Polynomial:
@@ -115,6 +138,10 @@ def colon(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
         quotient = _quotient(I.generators[0], f, order)
         if quotient is not None:
             return presentation_from_gb(ring, [quotient], order)
+    # the reduced basis of I decides f ∈ I, where I : f = (1), and is what
+    # the intersection below starts from
+    if member(f, I, order):
+        return presentation_from_gb(ring, [ring.one()], order)
     meet = intersect(I, IdealPresentation(ring, (f,)), order)
     divided = [exact_divide(g, f, order) for g in meet.generators]
     # quotients of a Groebner basis of I ∩ (f) by f form a Groebner basis of I : f
@@ -125,11 +152,7 @@ def colon_ideal(I: IdealPresentation, J: IdealPresentation, order) -> IdealPrese
     """I : J as the intersection of the colons by the generators of J."""
     if J.is_zero:
         raise ZeroPolynomialError("colon by the zero ideal")
-    result = None
-    for g in J.generators:
-        piece = colon(I, g, order)
-        result = piece if result is None else intersect(result, piece, order)
-    return result
+    return intersect_all([colon(I, g, order) for g in J.generators], order)
 
 
 def saturate(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
@@ -186,7 +209,17 @@ def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     p = I.ring.p
     if e >= MAX_EXPONENT.bit_length() or p**e > MAX_EXPONENT:
         raise ExponentOverflowError(f"bracket power {p}^{e} exceeds MAX_EXPONENT")
-    return IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
+    result = IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
+    # G^[q] is the reduced basis of I^[q] for every order that I has a
+    # reduced basis G for (see docs/notes.md)
+    for G in list(I._gb_cache.values()):
+        if isinstance(G, ReducedGB):
+            try:
+                powers = tuple(frobenius_power_poly(g, e) for g in G)
+            except ExponentOverflowError:
+                continue  # a basis element can pass the cap where no generator does
+            result._gb_cache[G.order] = ReducedGB(I.ring, G.order, powers)
+    return result
 
 
 def symbolic_power_prime(P: IdealPresentation, m: int, witness: Polynomial, order) -> IdealPresentation:

@@ -438,21 +438,21 @@ def test_monomial_ideal_reduces_no_pairs(tmp_path):
 
 
 def test_pair_budget_bounds_the_whole_command(tmp_path):
-    # pentagon fsplit reduces 2,510 S-pairs over 10 kernel runs, at most 632 in one
+    # pentagon fsplit reduces 1,684 S-pairs over 10 kernel runs, at most 508 in one
     pentagon = str(FIXTURES / "pentagon_edge.prob")
-    code, payload = run_json(["fsplit", pentagon, "--budget-pairs", "2509"])
+    code, payload = run_json(["fsplit", pentagon, "--budget-pairs", "1683"])
     assert code == 3 and payload["error"] == {
-        "type": "ResourceLimitError", "message": "pair budget of 2509 exceeded"
+        "type": "ResourceLimitError", "message": "pair budget of 1683 exceeded"
     }
-    assert run_json(["fsplit", pentagon, "--budget-pairs", "2510"])[0] == 1
-    # charp-cert reduces 101 pairs and the replay of its certificate 107, at
-    # most 25 in one run; --verify draws both from one budget
+    assert run_json(["fsplit", pentagon, "--budget-pairs", "1684"])[0] == 1
+    # charp-cert reduces 84 pairs and the replay of its certificate 90, at
+    # most 20 in one run; --verify draws both from one budget
     cert = str(tmp_path / "cert.json")
-    assert run_json(["charp-cert", F2X3, "--budget-pairs", "207", "--out", cert])[0] == 0
-    assert run_json(["verify-cert", cert, "--budget-pairs", "207"])[0] == 0
-    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "207"])
+    assert run_json(["charp-cert", F2X3, "--budget-pairs", "173", "--out", cert])[0] == 0
+    assert run_json(["verify-cert", cert, "--budget-pairs", "173"])[0] == 0
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "173"])
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
-    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "208"])
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "174"])
     assert code == 0 and payload["result"]["verified"] is True
 
 

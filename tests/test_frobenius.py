@@ -457,20 +457,20 @@ def test_fedder_colon_matches_elimination(monkeypatch):
 
 
 def test_common_factor_colon_pairs_pinned():
-    # x11 * (2x3 minors): the reduced basis of I (2 pairs), one principal
-    # colon for the gcd x11 (3), and elimination on the minors, which are no
-    # complete intersection (100); elimination on I itself costs as much as
-    # on the minors, so here the route costs the gcd's 3 pairs more than
-    # elimination on I
+    # x11 * (2x3 minors): the reduced basis of I (2 pairs), the gcd x11 as
+    # the monomial part of the generators (no pair), and elimination on the
+    # minors, which are no complete intersection (81); elimination on I
+    # itself costs as much as on the minors, so the route costs what
+    # elimination on I does
     order = fp.grevlex()
     with gb.Budget() as budget:
         fr.fedder_colon(_times_minors(2, "x11"), order)
-    assert budget.pairs == 105
+    assert budget.pairs == 83
     I = _times_minors(2, "x11")
     with gb.Budget() as elimination:
         gb.reduced_gb(I, order)
         ops.colon_ideal(ops.bracket_power(I, 1), I, order)
-    assert elimination.pairs == 102
+    assert elimination.pairs == 83
 
 
 def test_fedder_colon_of_zero_ideal_is_unit():

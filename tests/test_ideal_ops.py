@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -142,6 +143,49 @@ def test_intersect_with_unit_and_zero(ring_xy5):
     assert ops.intersect(gb.ideal(R, []), B, o).is_zero
 
 
+
+def _random_ideal(rng, R):
+    """Zero, unit, or one to three random generators of degree at most 2."""
+    kind = rng.random()
+    if kind < 0.08:
+        return gb.ideal(R, [])
+    if kind < 0.16:
+        return gb.ideal(R, [R.one()])
+    return gb.ideal(R, [random_polynomial(rng, R, 2, max_terms=3, nonzero=True) for _ in range(rng.randint(1, 3))])
+
+
+def _random_ring_and_order(rng):
+    n = rng.randint(2, 4)
+    R = fp.ring_new(rng.choice([2, 3, 5]), [f"x{i}" for i in range(n)])
+    return R, rng.choice(_orders(rng, n))
+
+
+def test_intersect_same_basis_with_or_without_cached_inputs():
+    # a cached reduced basis stands in for an input's generators, and the
+    # kernel skips the pairs inside it; the result must not depend on that
+    rng = random.Random(1616)
+    for _ in range(150):
+        R, o = _random_ring_and_order(rng)
+        A, B = _random_ideal(rng, R), _random_ideal(rng, R)
+        plain = ops.intersect(gb.ideal(R, A.generators), gb.ideal(R, B.generators), o)
+        gb.reduced_gb(A, o)
+        one_known = ops.intersect(A, gb.ideal(R, B.generators), o)
+        gb.reduced_gb(B, o)
+        both_known = ops.intersect(A, B, o)
+        assert plain.generators == one_known.generators == both_known.generators
+        assert plain.generators == gb.reduced_gb(gb.ideal(R, plain.generators), o).elements
+
+
+def test_balanced_intersection_matches_left_fold():
+    rng = random.Random(1617)
+    for _ in range(60):
+        R, o = _random_ring_and_order(rng)
+        ideals = [_random_ideal(rng, R) for _ in range(rng.randint(3, 5))]
+        fold = functools.reduce(lambda A, B: ops.intersect(A, B, o), ideals)
+        fresh = [gb.ideal(R, I.generators) for I in ideals]
+        assert ops.intersect_all(fresh, o).generators == fold.generators
+
+
 # -- colon ---------------------------------------------------------------------
 
 
@@ -157,6 +201,17 @@ def test_colon_examples(ring_xy5):
     with pytest.raises(fp.ZeroPolynomialError):
         ops.colon(I, R.zero(), o)
 
+
+
+def test_colon_of_the_unit_ideal_takes_no_elimination():
+    # this I is (1), and so is I^[3]; colon reads the reduced basis of I^[3]
+    # (4 pairs) before it eliminates, and an elimination from the generators
+    # ran out of memory within 42 pairs
+    R = fp.ring_new(3, ["x0", "x1"])
+    I = gb.ideal(R, [R.parse("x0^2 + x0 + 2"), R.parse("2*x0*x1 + x1^2 + 1"), R.parse("x0*x1 + 2*x0 + 2")])
+    with gb.Budget(50) as budget:
+        C = ops.colon(ops.bracket_power(I, 1), R.parse("x0^2 + x0 + 2"), fp.lex())
+    assert C.generators == (R.one(),) and budget.pairs == 4
 
 def test_colon_ideal_examples():
     # (g^2) : (g) = (g) for the irreducible 2x2 determinant, p = 2
@@ -343,6 +398,43 @@ def test_bracket_power_overflow():
     I = gb.ideal(R, [R.polynomial({(2**20,): 1})])
     with pytest.raises(fp.ExponentOverflowError):
         ops.bracket_power(I, 5)
+
+
+
+def test_bracket_power_precaches_frobenius_power_of_basis():
+    # lm(g^q) = lm(g)^q and a q-th power keeps G reduced, so G^[q] is the
+    # reduced basis of I^[q]: it must equal a completion from scratch
+    rng = random.Random(1618)
+    for _ in range(60):
+        R, o = _random_ring_and_order(rng)
+        I = _random_ideal(rng, R)
+        G = gb.reduced_gb(I, o)
+        for e in (1, 2):
+            B = ops.bracket_power(I, e)
+            q = R.p**e
+            assert B._gb_cache[o].elements == tuple(ops.frobenius_power_poly(g, e) for g in G)
+            fresh = gb.reduced_gb(gb.ideal(R, B.generators), o)
+            assert B._gb_cache[o].elements == fresh.elements
+            assert all(
+                m.exponents == tuple(q * a for a in lm.exponents)
+                for m, lm in zip(fresh.leading_monomials(), G.leading_monomials())
+            )
+    # no basis cached, none pre-cached
+    R = fp.ring_new(2, ["x", "y"])
+    assert fp.lex() not in ops.bracket_power(gb.ideal(R, [R.parse("x + y")]), 1)._gb_cache
+
+
+def test_bracket_power_skips_a_basis_past_the_exponent_cap():
+    # under lex the basis of (x - y^k, x^2) holds y^(2k): its square passes
+    # MAX_EXPONENT where the generators' squares do not, so bracket_power
+    # answers as before, without a pre-cached basis
+    R = fp.ring_new(2, ["x", "y"])
+    k = 2**29
+    I = gb.ideal(R, [R.parse(f"x - y^{k}"), R.parse("x^2")])
+    assert [g.text(fp.lex()) for g in gb.reduced_gb(I, fp.lex())] == [f"y^{2 * k}", f"x + y^{k}"]
+    B = ops.bracket_power(I, 1)
+    assert [g.text(fp.lex()) for g in B.generators] == [f"x^2 + y^{2 * k}", "x^4"]
+    assert fp.lex() not in B._gb_cache
 
 
 # -- symbolic powers ---------------------------------------------------------------
