@@ -27,7 +27,8 @@ queued (see docs/notes.md, "Known bases in an elimination").  The output is
 the unique reduced Groebner basis, so the result is independent of the
 selection strategy; a private hook lets tests randomize selection to check
 exactly that.  An ideal generated by single terms forms no pairs: its
-minimal generators, made monic, are its reduced basis.
+minimal generators, made monic, are its reduced basis, and :func:`member`
+decides membership in it by divisibility, term by term, without that basis.
 
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
@@ -106,6 +107,31 @@ def _from_terms(ring: RingContext, terms) -> Polynomial:
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
+
+
+def _in_monomial_ideal(exps, gens) -> bool:
+    """Whether each exponent tuple in ``exps`` is a multiple of one in ``gens``.
+
+    A polynomial lies in a monomial ideal iff each of its terms does, and a
+    term does iff a generator divides it (see docs/notes.md).
+    """
+    return all(any(_divides(g, e) for g in gens) for e in exps)
+
+
+def _term_exponents(I) -> list | None:
+    """The exponent tuples of the generators of I when each is a single term."""
+    exps = []
+    for g in I.generators:
+        if len(g) != 1:
+            return None
+        exps += g.terms_dict()
+    return exps
+
+
+def _same_ring(a: RingContext, b: RingContext) -> None:
+    # identity first: operands almost always share one ring object
+    if a is not b and a != b:
+        raise RingMismatchError("operands from different rings")
 
 
 def _lcm(a, b):
@@ -401,13 +427,12 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self):
-        gens = sorted(set(m.exponents for m in self.generators))
+        # a proper divisor precedes its multiples in lexicographic order, so
+        # scanning in that order, a tuple is minimal iff no kept one divides it
         minimal = []
-        for e in gens:
-            if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
-                minimal = [f for f in minimal if not all(a <= b for a, b in zip(e, f))]
+        for e in sorted(set(m.exponents for m in self.generators)):
+            if not any(_divides(f, e) for f in minimal):
                 minimal.append(e)
-        minimal.sort()
         object.__setattr__(
             self, "generators", tuple(Monomial(self.ring, e) for e in minimal)
         )
@@ -421,15 +446,13 @@ class MonomialIdeal:
         return not self.generators
 
     def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
+        _same_ring(self.ring, m.ring)
+        return any(_divides(g.exponents, m.exponents) for g in self.generators)
 
     def contains_polynomial(self, f: Polynomial) -> bool:
         """True iff every term of f lies in the ideal."""
-        gens = [g.exponents for g in self.generators]
-        for e in f.terms_dict():
-            if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
-                return False
-        return True
+        _same_ring(self.ring, f.ring)
+        return _in_monomial_ideal(f.terms_dict(), [g.exponents for g in self.generators])
 
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.generators)
@@ -479,6 +502,7 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     for g in basis:
         if not g:
             raise ZeroPolynomialError("cannot divide by the zero polynomial")
+        _same_ring(f.ring, g.ring)
     if not f:
         return f
     p = f.ring.p
@@ -528,8 +552,7 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
 
 def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     """g / f when the nonzero f divides g, else None."""
-    if f.ring != g.ring:
-        raise RingMismatchError("polynomials from different rings")
+    _same_ring(f.ring, g.ring)
     p = g.ring.p
     nkey = order.sort_key(g.ring.n)
     f_terms = _to_terms(f, nkey)
@@ -548,9 +571,17 @@ def initial_ideal(I: IdealPresentation, order) -> MonomialIdeal:
 
 
 def member(f: Polynomial, I: IdealPresentation, order) -> bool:
-    """Ideal membership via normal form against the reduced basis."""
+    """Whether f lies in I.
+
+    By divisibility, term by term, when every generator of I is a single
+    term; otherwise by normal form against the reduced basis.
+    """
+    _same_ring(f.ring, I.ring)
     if not f:
         return True
+    monomials = _term_exponents(I)
+    if monomials is not None:
+        return _in_monomial_ideal(f.terms_dict(), monomials)
     gb = reduced_gb(I, order)
     if not gb.elements:
         return False
@@ -559,6 +590,5 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:
     """Equality of ideals through their unique reduced bases."""
-    if A.ring != B.ring:
-        raise FieldPolyError("ideals from different rings")
+    _same_ring(A.ring, B.ring)
     return reduced_gb(A, order).elements == reduced_gb(B, order).elements

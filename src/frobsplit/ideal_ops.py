@@ -1,14 +1,18 @@
 """Ideal-level algebra on top of the Buchberger engine.
 
-Intersections are computed by eliminating an auxiliary variable from
-``t*A + (1-t)*B``; the auxiliary variable is appended internally and never
-appears in results, and the ``t``-free part of the reduced elimination basis
-is kept as the reduced basis of ``A ∩ B``.  An input that caches its reduced
-basis enters as that basis, and the kernel forms no pair inside it.
-Intersections of several ideals go pairwise in a balanced tree.  Colons
-divide the generators of ``I ∩ (f)`` exactly by ``f``; that quotient set is
-again a Groebner basis, so colon and intersection results come back with
-their reduced basis pre-cached.  A principal colon ``(h) : f`` with ``f``
+Ideals generated by single terms stay out of the kernel: ``A ∩ B`` of two
+monomial ideals is generated by the pairwise lcms of their generators, and
+``I : m`` for a monomial ideal and a term m by ``a / gcd(a, m)`` over the
+generators a of I.  ``(1) ∩ B`` is ``B``.  Other intersections are computed
+by eliminating an auxiliary variable from ``t*A + (1-t)*B``; the auxiliary
+variable is appended internally and never appears in results, and the
+``t``-free part of the reduced elimination basis is kept as the reduced
+basis of ``A ∩ B``.  An input that caches its reduced basis enters as that
+basis, and the kernel forms no pair inside it.  Intersections of several
+ideals go pairwise in a balanced tree.  Colons divide the generators of
+``I ∩ (f)`` exactly by ``f``; that quotient set is again a Groebner basis,
+so colon and intersection results come back with their reduced basis
+pre-cached.  A principal colon ``(h) : f`` with ``f``
 dividing ``h`` is ``(h/f)``, and ``I : f`` with ``f`` in ``I`` is ``(1)``;
 both skip the intersection.  A bracket power ``I^[q]`` inherits the reduced
 bases cached on ``I``, raised to the ``q``-th power.  Saturation iterates the
@@ -24,6 +28,7 @@ one.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import sub
 
 from .field_poly import (
     MAX_EXPONENT,
@@ -43,7 +48,10 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     ReducedGB,
+    _lcm,
     _quotient,
+    _same_ring,
+    _term_exponents,
     member,
     presentation_from_gb,
     reduced_gb,
@@ -69,13 +77,37 @@ def embed(f: Polynomial, ext: RingContext) -> Polynomial:
 # -- intersection, colon, saturation -------------------------------------------
 
 
+def _is_unit(I: IdealPresentation, order) -> bool:
+    """Whether I shows that it is (1): a constant generator, or a cached basis (1)."""
+    known = I._gb_cache.get(order)
+    if known is not None and len(known) == 1 and known.elements[0].degree() == 0:
+        return True
+    return any(g.degree() == 0 for g in I.generators)
+
+
+def _monomials(ring: RingContext, exps, order) -> IdealPresentation:
+    """The monomial ideal on the given exponent tuples, with its reduced basis."""
+    return presentation_from_gb(ring, [Polynomial(ring, {e: 1}) for e in exps], order)
+
+
 def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresentation:
-    """Generators of A ∩ B by elimination of an auxiliary variable."""
-    if A.ring != B.ring:
-        raise FieldPolyError("ideals from different rings")
+    """The reduced basis of A ∩ B, as generators with the basis cached.
+
+    ``(1) ∩ B = B``; two monomial ideals meet in the pairwise lcms of their
+    generators; otherwise an auxiliary variable is eliminated.
+    """
+    _same_ring(A.ring, B.ring)
     ring = A.ring
     if A.is_zero or B.is_zero:
         return IdealPresentation(ring, ())
+    if _is_unit(A, order):
+        return reduced_gb(B, order).presentation()
+    if _is_unit(B, order):
+        return reduced_gb(A, order).presentation()
+    mono_a, mono_b = _term_exponents(A), _term_exponents(B)
+    if mono_a is not None and mono_b is not None:
+        # (a) ∩ (b) = (lcm(a, b)), summed over the generators
+        return _monomials(ring, [_lcm(a, b) for a in mono_a for b in mono_b], order)
     ext = ring.extend()
     t = ext.variable(ext.n - 1)
     gens, blocks = [], []
@@ -129,10 +161,16 @@ def colon(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
     if not f:
         raise ZeroPolynomialError("colon by the zero polynomial")
     ring = I.ring
+    _same_ring(ring, f.ring)
     if f.degree() == 0:
         return IdealPresentation(ring, I.generators)
     if I.is_zero:
         return IdealPresentation(ring, ())
+    monomials = _term_exponents(I)
+    if monomials is not None and len(f) == 1:
+        # (a) : m = (a / gcd(a, m)), summed over the generators
+        (m,) = f.terms_dict()
+        return _monomials(ring, [tuple(map(sub, a, map(min, a, m))) for a in monomials], order)
     if len(I.generators) == 1:
         # (h) : f = (h / f) when f divides h, since S is a domain
         quotient = _quotient(I.generators[0], f, order)

@@ -71,3 +71,23 @@ def random_polynomial(rng, ring, max_degree, max_terms=5, nonzero=False):
         f = ring.polynomial(coeffs)
         if f or not nonzero:
             return f
+
+
+def random_order(rng, n):
+    """lex, grevlex, or a random weight order with either tiebreak."""
+    weights = tuple(rng.randint(1, 3) for _ in range(n))
+    return rng.choice([fp.lex(), fp.grevlex(), fp.weight_order(weights, rng.choice(["lex", "grevlex"]))])
+
+
+def random_monomial_ideal(rng, ring):
+    """The zero ideal, a unit ideal (c), or one to four single terms with any coefficients."""
+    kind = rng.random()
+    if kind < 0.08:
+        return gb.ideal(ring, [])
+    if kind < 0.16:
+        return gb.ideal(ring, [ring.constant(rng.randint(1, ring.p - 1))])
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(0, 3) for _ in range(ring.n))
+        gens.append(ring.polynomial({e: rng.randint(1, ring.p - 1)}))
+    return gb.ideal(ring, gens)

@@ -9,7 +9,7 @@ from frobsplit import field_poly as fp
 from frobsplit import groebner as gb
 
 import oracle
-from conftest import FIXTURES, deformed_minors_ideal, random_polynomial
+from conftest import FIXTURES, deformed_minors_ideal, random_monomial_ideal, random_order, random_polynomial
 
 
 def test_s_polynomial_examples(ring_xy5):
@@ -149,6 +149,52 @@ def test_member_examples():
     assert not gb.member(R.one(), gb.ideal(R, [R.parse("x")]), fp.lex())
     assert gb.member(R.zero(), gb.ideal(R, []), fp.lex())
     assert not gb.member(R.one(), gb.ideal(R, []), fp.lex())
+
+
+def test_member_of_a_monomial_ideal_matches_normal_form():
+    # single-term generators decide membership by divisibility, without the
+    # reduced basis: the kernel is not entered and nothing is cached; half
+    # the candidates are combinations of the generators, some of them with
+    # one more random term
+    rng = random.Random(1717)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        R = fp.ring_new(rng.choice([2, 3]), [f"x{i}" for i in range(n)])
+        o = random_order(rng, n)
+        I = random_monomial_ideal(rng, R)
+        f = random_polynomial(rng, R, 4, max_terms=4)
+        if I.generators and rng.random() < 0.5:
+            f = R.zero()
+            for g in I.generators:
+                f = f + g * random_polynomial(rng, R, 2, max_terms=2)
+            if rng.random() < 0.3:
+                f = f + random_polynomial(rng, R, 4, max_terms=1)
+        got = gb.member(f, I, o)
+        assert I._gb_cache == {}
+        G = gb.reduced_gb(gb.ideal(R, I.generators), o)
+        expected = not f or (bool(G.elements) and not gb.normal_form(f, G.elements, o))
+        assert got == expected
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_member_rejects_a_polynomial_from_another_ring():
+    R = fp.ring_new(3, ["x0", "x1"])
+    o = fp.lex()
+    monomial = gb.ideal(R, [R.parse("x0^2"), R.parse("x1")])
+    binomial = gb.ideal(R, [R.parse("x0^2 + x1")])
+    for other in (fp.ring_new(3, ["y0", "y1", "y2"]), fp.ring_new(5, ["x0", "x1"])):
+        f = other.variable(1)
+        for I in (monomial, binomial):
+            with pytest.raises(fp.RingMismatchError):
+                gb.member(f, I, o)
+        with pytest.raises(fp.RingMismatchError):
+            gb.normal_form(f, binomial.generators, o)
+        with pytest.raises(fp.RingMismatchError):
+            gb.MonomialIdeal(R, (R.monomial((2, 0)),)).contains_polynomial(f)
+    # an equal ring built separately is the same ring
+    assert gb.member(fp.ring_new(3, ["x0", "x1"]).parse("x0^3"), monomial, o)
 
 
 def test_zero_ideal_gb_empty():

@@ -9,7 +9,7 @@ from frobsplit import groebner as gb
 from frobsplit import ideal_ops as ops
 
 import oracle
-from conftest import minors_2x3, random_polynomial
+from conftest import minors_2x3, random_monomial_ideal, random_order, random_polynomial
 
 
 def texts(I, order):
@@ -142,6 +142,82 @@ def test_intersect_with_unit_and_zero(ring_xy5):
     assert gb.ideals_equal(ops.intersect(gb.ideal(R, [R.one()]), B, o), B, o)
     assert ops.intersect(gb.ideal(R, []), B, o).is_zero
 
+
+
+def _count_kernel_runs(monkeypatch):
+    runs = []
+    kernel = gb._buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "_buchberger", counting)
+    return runs
+
+
+def _random_monomial_case(rng):
+    n = rng.randint(1, 4)
+    R = fp.ring_new(rng.choice([2, 3]), [f"x{i}" for i in range(n)])
+    return R, random_order(rng, n)
+
+
+def test_monomial_intersection_matches_elimination(monkeypatch):
+    # two monomial ideals meet in the lcms of their generators, with no
+    # kernel run; the zero and unit ideals are among the inputs
+    runs = _count_kernel_runs(monkeypatch)
+    rng = random.Random(1718)
+    for _ in range(200):
+        R, o = _random_monomial_case(rng)
+        A, B = random_monomial_ideal(rng, R), random_monomial_ideal(rng, R)
+        del runs[:]
+        got = ops.intersect(A, B, o)
+        assert runs == []
+        assert got.generators == _elimination_reference(A, B, o)
+        if not got.is_zero:
+            assert got._gb_cache[o].elements == got.generators
+
+
+def test_monomial_colon_by_a_term_matches_intersection_and_division(monkeypatch):
+    # I : m = (a / gcd(a, m)) over the generators a, with no kernel run,
+    # against (I ∩ (m)) / m with the intersection by elimination
+    runs = _count_kernel_runs(monkeypatch)
+    rng = random.Random(1719)
+    for _ in range(200):
+        R, o = _random_monomial_case(rng)
+        I = random_monomial_ideal(rng, R)
+        e = tuple(rng.randint(0, 3) for _ in range(R.n))
+        m = R.polynomial({e: rng.randint(1, R.p - 1)})
+        del runs[:]
+        got = ops.colon(I, m, o)
+        assert runs == []
+        meet = _elimination_reference(I, gb.ideal(R, [m]), o)
+        expected = gb.reduced_gb(gb.ideal(R, [ops.exact_divide(g, m, o) for g in meet]), o)
+        assert gb.reduced_gb(got, o).elements == expected.elements
+        if m.degree() > 0 and not I.is_zero:
+            assert got.generators == expected.elements
+
+
+def test_intersection_with_the_unit_ideal_takes_no_pair():
+    # (1) ∩ B = B, shown by a constant generator or a cached basis (1)
+    R = fp.ring_new(3, ["x0", "x1"])
+    o = fp.lex()
+    B = gb.ideal(R, [R.parse("x0^2 + x1"), R.parse("x1^3 + x0*x1 + 1")])
+    G = gb.reduced_gb(B, o)
+    unit_by_basis = gb.ideal(R, [R.parse("x0 + 1"), R.parse("x0")])
+    gb.reduced_gb(unit_by_basis, o)
+    for U in (gb.ideal(R, [R.constant(2)]), unit_by_basis):
+        for A, C in ((U, B), (B, U)):
+            with gb.Budget() as budget:
+                X = ops.intersect(A, C, o)
+            assert budget.pairs == 0
+            assert X.generators == G.elements == X._gb_cache[o].elements
+    # the colon of the unit-ideal test below, now by colon_ideal: 4 pairs
+    # for the basis of I^[3], and none for the intersections of (1) with (1)
+    I = gb.ideal(R, [R.parse("x0^2 + x0 + 2"), R.parse("2*x0*x1 + x1^2 + 1"), R.parse("x0*x1 + 2*x0 + 2")])
+    with gb.Budget(50) as budget:
+        C = ops.colon_ideal(ops.bracket_power(I, 1), I, o)
+    assert C.generators == (R.one(),) and budget.pairs == 4
 
 
 def _random_ideal(rng, R):
