@@ -29,6 +29,7 @@ from .field_poly import (
     Polynomial,
     RingContext,
     TokenStream,
+    _extended_order,
     grevlex,
     int_value,
     parse_order,
@@ -323,8 +324,10 @@ def _witness(ctx: Context, name: str) -> Polynomial:
 
 
 def _listing(ctx: Context, head: str, R: IdealPresentation, result: dict, **after) -> Outcome:
-    """Generator listing; the ``after`` fields follow ``generators`` in the result."""
-    gens = [g.text(ctx.order) for g in R.generators]
+    """Generator listing; the ``after`` fields follow ``generators`` in the result.  An ideal
+    of the extended ring (``homogenize``) is written in the order's extension to it."""
+    order = ctx.order if R.ring == ctx.problem.ring else _extended_order(ctx.order)
+    gens = [g.text(order) for g in R.generators]
     result.update(generators=gens, **after)
     return Outcome(0, head + "\n" + "\n".join(f"  {t}" for t in gens), result)
 

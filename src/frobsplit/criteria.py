@@ -37,14 +37,15 @@ from .field_poly import (
     FieldPolyError,
     Monomial,
     RingContext,
+    _extended_order,
     order_for_weight_refinement,
     parse_order,
     validate_weights,
 )
 from .groebner import (
     IdealPresentation,
-    MonomialIdeal,
     ideals_equal,
+    initial_ideal,
     member,
     reduced_gb,
 )
@@ -127,13 +128,15 @@ def _step(op: str, args: dict, expect: dict) -> dict:
     return {"op": op, "args": args, "expect": expect, "ok": True}
 
 
-def _certificate(kind, ring, order, ideals: dict, witness: dict, values=(), basis=None) -> Certificate:
+def _certificate(kind, ring, order, ideals: dict, witness: dict) -> Certificate:
     """Record the named ideals (one outside ``ring`` lies in the extended ring) and
     the witness, emit the kind's obligations as the steps, and derive the rest.
 
-    ``values`` are the producer's results for the expected values the obligations
-    leave open, in step order; ``basis`` is as for the kind's outcome.
+    The expected values the obligations leave open are filled by running the
+    replay operation of their step on the producer's own ideals, which carry
+    their cached bases, so producer and replay compute them by one code path.
     """
+    ctx = _ReplayContext(ring, order, ideals)
     data = {
         "kind": kind,
         "library_version": __version__,
@@ -149,17 +152,17 @@ def _certificate(kind, ring, order, ideals: dict, witness: dict, values=(), basi
         where = "base" if J.ring == ring else "extended"
         if where == "extended":
             data["extended_ring"] = {"vars": list(J.ring.names)}
-        entry = {"ring": where, "generators": [g.text(order) for g in J.generators]}
+        entry = {"ring": where, "generators": [g.text(ctx.order_on(J.ring)) for g in J.generators]}
         data["ideals"][name] = entry
         data["digests"][name] = _digest(data["order"], entry)
     _, _, table = _KINDS[kind]
     obligations, outcome = table(ring, witness)
-    values = iter(values)
-    data["steps"] = [
-        _step(op, args, {key: next(values) if want is _RESULT else want for key, want in expect.items()})
-        for op, args, expect in obligations
-    ]
-    data.update(outcome(data["steps"], basis))
+    for op, args, expect in obligations:
+        if _RESULT in expect.values():
+            got = _REPLAY[op](ctx, args)
+            expect = {key: got[key] if want is _RESULT else want for key, want in expect.items()}
+        data["steps"].append(_step(op, args, expect))
+    data.update(outcome(data["steps"], ctx.basis))
     return Certificate(data)
 
 
@@ -169,8 +172,8 @@ def _certificate(kind, ring, order, ideals: dict, witness: dict, values=(), basi
 # top-level fields (witness, conclusion, ...) as they follow from the steps
 # once replay has confirmed their results, and from ``basis(name)``, the
 # reduced basis of a named ideal in canonical text.  An expected value of
-# _RESULT is left open: the producer records what it computed, replay
-# recomputes it.
+# _RESULT is left open: the producer records what the step's replay
+# operation computes on its ideals, replay recomputes it.
 
 _RESULT = None
 
@@ -200,6 +203,8 @@ def _symb(ring, w):
     names = [f"P{i + 1}" for i in range(len(primes))]
     if not names or list(primes) != names:
         raise FieldPolyError("a Symb certificate names its primes P1, ..., Pk (k >= 1)")
+    if not 1 <= h <= ring.n:  # no prime has a larger height
+        raise FieldPolyError(f"malformed certificate: a Symb height lies in 1..{ring.n}, got {h}")
     obligations = []
     for name, g in primes.items():
         obligations += [
@@ -310,27 +315,21 @@ def charp_certificate(I: IdealPresentation, order) -> Certificate | NotFound:
     if I.is_zero:
         raise FieldPolyError("the zero ideal is not an admissible CharP input")
     top = top_monomial(ring)
-    C = fedder_colon(I, order)
-    gbC = reduced_gb(C, order)
-    in_c = [g.leading_monomial(order) for g in gbC.elements]
+    gbC = reduced_gb(fedder_colon(I, order), order)
     hit = next((g for g in gbC.elements if g.leading_monomial(order).divides(top)), None)
     if hit is None:
         return NotFound(
             "no minimal generator of the initial ideal of I^[p] : I divides the top monomial",
-            {"initial_generators": [m.text() for m in in_c], "target": top.text()},
+            {"initial_generators": [m.text() for m in gbC.leading_monomials()], "target": top.text()},
         )
-    gbI = reduced_gb(I, order)
-    leads = [g.leading_monomial(order) for g in gbI.elements]
-    if not all(m.is_squarefree() for m in leads):
+    if not initial_ideal(I, order).is_squarefree():
         raise SoundnessError(
             "Fedder-colon condition held but the initial ideal of I is not "
             "squarefree; this contradicts the criterion and indicates a bug"
         )
 
-    ideals = {"I": I, "C": IdealPresentation(ring, gbC.elements)}
     witness = {"poly": hit.text(order), "leading_monomial": hit.leading_monomial(order).text()}
-    values = [[m.text() for m in in_c], [m.text() for m in leads]]
-    return _certificate("CharP", ring, order, ideals, witness, values)
+    return _certificate("CharP", ring, order, {"I": I, "C": gbC.presentation()}, witness)
 
 
 def symb_certificate(primes, order) -> Certificate | NotFound:
@@ -350,16 +349,12 @@ def symb_certificate(primes, order) -> Certificate | NotFound:
             raise FieldPolyError("the zero ideal is not an admissible prime input")
 
     names = [f"P{i + 1}" for i in range(len(primes))]
-    values = []  # per prime: initial generators, dimension, height
     for name, (P, g) in zip(names, primes):
         if member(g, P, order):
             raise InconsistentInputError(
                 f"witness for {name} lies inside the prime it must avoid"
             )
-        in_p = MonomialIdeal(ring, tuple(reduced_gb(P, order).leading_monomials()))
-        dim = monomial_dimension(in_p)
-        values += [[m.text() for m in in_p.generators], dim, ring.n - dim]
-    h = max(values[2::3])
+    h = max(ring.n - monomial_dimension(initial_ideal(P, order)) for P, _ in primes)
 
     symbolic_powers = [symbolic_power_prime(P, h, g, order) for P, g in primes]
     gb_ih = reduced_gb(intersect_all(symbolic_powers, order), order)
@@ -370,9 +365,8 @@ def symb_certificate(primes, order) -> Certificate | NotFound:
             {"height": h, "leading_monomials": [m.text() for m in gb_ih.leading_monomials()]},
         )
 
-    gb_rad = reduced_gb(intersect_all([P for P, _ in primes], order), order)
-    leads = [g.leading_monomial(order) for g in gb_rad.elements]
-    if not all(m.is_squarefree() for m in leads):
+    rad = reduced_gb(intersect_all([P for P, _ in primes], order), order).presentation()
+    if not initial_ideal(rad, order).is_squarefree():
         raise InconsistentInputError(
             "the symbolic-power condition held but the initial ideal of the "
             "intersection is not squarefree; some input ideal is not prime"
@@ -380,24 +374,23 @@ def symb_certificate(primes, order) -> Certificate | NotFound:
 
     ideals = {name: P for name, (P, _) in zip(names, primes)}
     for name, Q in zip(names, symbolic_powers):
-        ideals[f"{name}_symb"] = IdealPresentation(ring, reduced_gb(Q, order).elements)
-    ideals["I_symb"] = IdealPresentation(ring, gb_ih.elements)
-    ideals["I"] = IdealPresentation(ring, gb_rad.elements)
+        ideals[f"{name}_symb"] = reduced_gb(Q, order).presentation()
+    ideals["I_symb"] = gb_ih.presentation()
+    ideals["I"] = rad
     witness = {
         "poly": hit.text(order),
         "leading_monomial": hit.leading_monomial(order).text(),
         "height": h,
         "prime_witnesses": {name: g.text(order) for name, (P, g) in zip(names, primes)},
     }
-    return _certificate("Symb", ring, order, ideals, witness, values + [[m.text() for m in leads]])
+    return _certificate("Symb", ring, order, ideals, witness)
 
 
 def deformation_fibers(I: IdealPresentation, weights, order) -> Certificate:
     """Certificate that the weight homogenization has the two expected fibers."""
     ring = I.ring
     weights = validate_weights(ring, weights)
-    worder = order_for_weight_refinement(weights, order)
-    gb_w = reduced_gb(I, worder)
+    gb_w = reduced_gb(I, order_for_weight_refinement(weights, order))
     H = homogenize_w(I, weights, order)
     in_w = initial_forms_ideal(I, weights, order)
     ok_zero = ideals_equal(fiber_at_zero(H), in_w, order)
@@ -409,20 +402,16 @@ def deformation_fibers(I: IdealPresentation, weights, order) -> Certificate:
             "construction and indicates a bug"
         )
 
-    ideals = {"I": I, "W": IdealPresentation(ring, gb_w.elements), "InW": in_w, "H": H}
-    special_fiber = [g.text(order) for g in reduced_gb(in_w, order).elements]
-    return _certificate(
-        "Deformation", ring, order, ideals, {"weights": list(weights)}, basis=lambda name: special_fiber
-    )
+    ideals = {"I": I, "W": gb_w.presentation(), "InW": in_w, "H": H}
+    return _certificate("Deformation", ring, order, ideals, {"weights": list(weights)})
 
 
 def fsplit_certificate(I: IdealPresentation, order) -> Certificate:
     """Certificate for the graded Fedder test (either verdict)."""
-    ring = I.ring
     test = fsplit_graded_test(I, order)
-    ideals = {"I": I, "C": IdealPresentation(ring, reduced_gb(test.colon, order).elements)}
+    ideals = {"I": I, "C": reduced_gb(test.colon, order).presentation()}
     witness = {"poly": test.witness.text(order)} if test.split else {}
-    return _certificate("FSplit", ring, order, ideals, witness)
+    return _certificate("FSplit", I.ring, order, ideals, witness)
 
 
 # -- replay -----------------------------------------------------------------------
@@ -499,23 +488,34 @@ def _deviation(steps: list, obligations: list) -> str | None:
 
 
 class _ReplayContext:
-    def __init__(self, data: dict):
-        self.ring = RingContext(data["ring"]["p"], tuple(data["ring"]["vars"]))
-        self.order = parse_order(data["order"])
-        rings = {"base": self.ring}
+    """The ring, the order and the named ideals the replay operations run on."""
+
+    def __init__(self, ring: RingContext, order, ideals: dict):
+        self.ring, self.order, self.ideals = ring, order, ideals
+
+    @classmethod
+    def parse(cls, data: dict) -> "_ReplayContext":
+        """The context a certificate records, parsed from its canonical text."""
+        base = RingContext(data["ring"]["p"], tuple(data["ring"]["vars"]))
+        rings = {"base": base}
         ext = data.get("extended_ring")
         if ext is not None:
             names = tuple(ext["vars"])
-            if names[:-1] != self.ring.names:
+            if names[:-1] != base.names:
                 raise FieldPolyError("extended ring does not extend the base ring")
-            rings["extended"] = self.ring.extend(names[-1])
-        self.ideals: dict[str, IdealPresentation] = {}
+            rings["extended"] = base.extend(names[-1])
+        ideals = {}
         for name, entry in data["ideals"].items():
             ring = rings.get(entry["ring"])
             if ring is None:
                 raise FieldPolyError(f"ideal {name!r} lies in an unknown ring {entry['ring']!r}")
             gens = tuple(ring.parse(text) for text in entry["generators"])
-            self.ideals[name] = IdealPresentation(ring, gens)
+            ideals[name] = IdealPresentation(ring, gens)
+        return cls(base, parse_order(data["order"]), ideals)
+
+    def order_on(self, ring: RingContext):
+        """The order on the base ring, or its extension to the extended ring."""
+        return self.order if ring == self.ring else _extended_order(self.order)
 
     def ideal(self, name: str) -> IdealPresentation:
         try:
@@ -543,7 +543,7 @@ def _squarefree_initial(ctx: _ReplayContext, a: dict) -> dict:
 
 
 def _monomial_dimension(ctx: _ReplayContext, a: dict) -> dict:
-    dim = monomial_dimension(MonomialIdeal(ctx.ring, ctx.gb(a["ideal"]).leading_monomials()))
+    dim = monomial_dimension(initial_ideal(ctx.ideal(a["ideal"]), ctx.order))
     return {"dimension": dim, "height": ctx.ring.n - dim}
 
 
@@ -553,9 +553,7 @@ def _monomial_dimension(ctx: _ReplayContext, a: dict) -> dict:
 _REPLAY = {
     "note": lambda ctx, a: {},
     "bracket_colon": lambda ctx, a: fedder_colon(ctx.ideal(a["ideal"]), ctx.order),
-    "initial_generators": lambda ctx, a: {
-        "monomials": [m.text() for m in ctx.gb(a["ideal"]).leading_monomials()]
-    },
+    "initial_generators": lambda ctx, a: {"monomials": _squarefree_initial(ctx, a)["monomials"]},
     "membership": lambda ctx, a: {
         "member": member(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order)
     },
@@ -570,9 +568,9 @@ _REPLAY = {
         ctx.ideal(a["ideal"]), a["m"], ctx.ring.parse(a["witness"]), ctx.order
     ),
     "intersection": lambda ctx, a: intersect_all([ctx.ideal(n) for n in a["ideals"]], ctx.order),
-    "weight_gb": lambda ctx, a: IdealPresentation(ctx.ring, reduced_gb(
+    "weight_gb": lambda ctx, a: reduced_gb(
         ctx.ideal(a["ideal"]), order_for_weight_refinement(tuple(a["weights"]), ctx.order)
-    ).elements),
+    ).presentation(),
     "initial_forms": lambda ctx, a: initial_forms_ideal(
         ctx.ideal(a["ideal"]), tuple(a["weights"]), ctx.order
     ),
@@ -601,7 +599,7 @@ def _replay_step(ctx: _ReplayContext, step: dict) -> tuple[bool, str]:
         return got == step["expect"], f"recomputed {got}"
     name = step["expect"]["ideal_equal"]
     target = ctx.ideal(name)
-    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order)
+    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order_on(got.ring))
     return ok, f"recomputed ideal {'equals' if ok else 'differs from'} {name}"
 
 
@@ -615,7 +613,7 @@ def replay(cert: Certificate | dict) -> VerificationReport:
     """
     data = cert.data if isinstance(cert, Certificate) else cert
     table = _validate(data)
-    ctx = _ReplayContext(data)
+    ctx = _ReplayContext.parse(data)
     obligations, outcome = table(ctx.ring, data["witness"])
     ideals, digests = data["ideals"], data["digests"]
     failed = _deviation(data["steps"], obligations) or next(

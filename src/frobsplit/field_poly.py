@@ -203,6 +203,10 @@ def _accumulate(out: dict, terms, p: int) -> dict:
     return out
 
 
+def _weighted_degree(weights, exponents) -> int:
+    return sum(map(mul, weights, exponents))
+
+
 def _check_growth(exponent_tuples) -> None:
     """Overflow guard for the operations that grow exponents."""
     top = max(map(max, exponent_tuples), default=0)
@@ -223,7 +227,7 @@ class Monomial:
     def weighted_degree(self, weights) -> int:
         if len(weights) != len(self.exponents):
             raise FieldPolyError("weight vector length does not match the ring")
-        return sum(w * e for w, e in zip(weights, self.exponents))
+        return _weighted_degree(weights, self.exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.ring != other.ring:
@@ -418,23 +422,16 @@ class Polynomial:
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no initial form")
         validate_weights(self.ring, weights)
-        best = None
-        picked: dict[tuple, int] = {}
-        for e, c in self._coeffs.items():
-            d = sum(w * x for w, x in zip(weights, e))
-            if best is None or d > best:
-                best = d
-                picked = {e: c}
-            elif d == best:
-                picked[e] = c
-        return Polynomial(self.ring, picked)
+        degrees = {e: _weighted_degree(weights, e) for e in self._coeffs}
+        top = max(degrees.values())
+        return Polynomial(self.ring, {e: c for e, c in self._coeffs.items() if degrees[e] == top})
 
     def weighted_degree(self, weights) -> int:
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no weighted degree")
         if len(weights) != self.ring.n:
             raise FieldPolyError("weight vector length does not match the ring")
-        return max(sum(w * x for w, x in zip(weights, e)) for e in self._coeffs)
+        return max(_weighted_degree(weights, e) for e in self._coeffs)
 
     def text(self, order=None) -> str:
         """Canonical text: terms descending under the order, coefficients in [1, p)."""
@@ -477,9 +474,7 @@ def validate_weights(ring: RingContext, weights) -> tuple[int, ...]:
     weights = tuple(weights)
     if len(weights) != ring.n:
         raise FieldPolyError("weight vector length does not match the ring")
-    if any((not isinstance(w, int)) or w <= 0 for w in weights):
-        raise FieldPolyError("weights must be strictly positive integers")
-    return weights
+    return weight_order(weights).weight  # the order checks that the weights are positive integers
 
 
 @dataclass(frozen=True)
@@ -546,8 +541,7 @@ class EliminationOrder:
         base = self.base.sort_key(n - 1)
         return lambda e: (-e[-1],) + base(e[:-1])
 
-    def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(neg, self.sort_key(len(exps))(exps)))
+    key = MonomialOrder.key
 
 
 def lex() -> MonomialOrder:
@@ -563,18 +557,18 @@ def weight_order(weights, tiebreak: str = "grevlex") -> MonomialOrder:
 
 
 def order_for_weight_refinement(weights, order) -> MonomialOrder:
-    """Weight order refining the given order's tiebreak discipline.
-
-    The tiebreak is the order itself when it is lex/grevlex, and its own
-    tiebreak when it is already a weight order.
-    """
-    if isinstance(order, MonomialOrder) and order.kind == "weight":
-        tie = order.tiebreak
-    elif isinstance(order, MonomialOrder):
-        tie = order.kind
-    else:
+    """The weight order with the order's tiebreak: its own for a weight order, else the order."""
+    if not isinstance(order, MonomialOrder):
         raise FieldPolyError("cannot derive a tiebreak from this order")
-    return weight_order(weights, tie)
+    return weight_order(weights, order.tiebreak or order.kind)
+
+
+def _extended_order(order: MonomialOrder) -> MonomialOrder:
+    """The order on the ring extended by a last variable t: ``weight(w; tie)`` becomes
+    ``weight(w, 1; tie)``, the weight t has in weight homogenization; lex and grevlex stay."""
+    if order.kind != "weight":
+        return order
+    return weight_order(order.weight + (1,), order.tiebreak)
 
 
 _ORDER_TEXT_RE = re.compile(

@@ -74,29 +74,26 @@ class SplittingCheck:
 
 
 def is_splitting(f: Polynomial) -> SplittingCheck:
-    """Decide whether f * trace splits Frobenius.
+    """Decide whether f * trace splits Frobenius, that is, whether trace(f) = 1.
 
-    Two support conditions: the top monomial occurs in f with coefficient 1,
-    and no other monomial of f has all exponents congruent to -1 mod p.
-    Equivalent to trace(f) = 1.
+    The trace maps the terms of f whose exponents are all p-1 mod p one to
+    one onto the terms of trace(f), the top monomial onto 1.  So the two
+    support conditions are: the top monomial occurs in f with coefficient 1,
+    and no other such term occurs.  The violation named is the first other
+    such term in f's term order, else the top monomial.
     """
-    ring = f.ring
-    p = ring.p
-    top = (p - 1,) * ring.n
-    for e, c in f.terms_dict().items():
-        if all(a % p == p - 1 for a in e) and e != top:
-            return SplittingCheck(
-                False,
-                Monomial(ring, e),
-                "monomial with all exponents = -1 mod p other than the top monomial",
-            )
-    c = f.terms_dict().get(top, 0)
-    if c != 1:
+    ring, p = f.ring, f.ring.p
+    t = trace(f)
+    other = next((b for b in t.terms_dict() if any(b)), None)
+    if other is not None:
         return SplittingCheck(
             False,
-            Monomial(ring, top),
-            f"top monomial has coefficient {c}, expected 1",
+            Monomial(ring, tuple(p * b + p - 1 for b in other)),
+            "monomial with all exponents = -1 mod p other than the top monomial",
         )
+    c = t.constant_term()
+    if c != 1:
+        return SplittingCheck(False, top_monomial(ring), f"top monomial has coefficient {c}, expected 1")
     return SplittingCheck(True)
 
 

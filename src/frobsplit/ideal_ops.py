@@ -41,6 +41,7 @@ from .field_poly import (
     ZeroPolynomialError,
     _accumulate,
     _check_growth,
+    _weighted_degree,
     order_for_weight_refinement,
     validate_weights,
 )
@@ -289,68 +290,56 @@ def homogenize_w(I: IdealPresentation, weights, order) -> IdealPresentation:
     the raw generators would miss elements of the homogenized ideal.
     """
     weights = validate_weights(I.ring, weights)
-    worder = order_for_weight_refinement(weights, order)
-    gb = reduced_gb(I, worder)
+    gb = reduced_gb(I, order_for_weight_refinement(weights, order))
     ext = I.ring.extend()
     gens = []
     for g in gb.elements:
-        d = g.weighted_degree(weights)
-        terms = {}
-        for e, c in g.terms_dict().items():
-            wdeg = sum(w * a for w, a in zip(weights, e))
-            terms[e + (d - wdeg,)] = c
+        coeffs = g.terms_dict()
+        degrees = {e: _weighted_degree(weights, e) for e in coeffs}
+        d = max(degrees.values())
+        terms = {e + (d - de,): coeffs[e] for e, de in degrees.items()}
         _check_growth(terms)
         gens.append(Polynomial(ext, terms))
-    hom = IdealPresentation(ext, tuple(gens))
-    hom.provenance = {"weights": weights, "homogenizing_variable": ext.names[-1]}
-    return hom
+    return IdealPresentation(ext, tuple(gens))
+
+
+def _set_last(ring: RingContext, polys, value: int, what: str) -> tuple[Polynomial, ...]:
+    """The polys of an extended ring with the last variable set to value (0 or 1), in the base ring."""
+    base = ring.base
+    if base is None:
+        raise FieldPolyError(f"{what} does not live in an extended ring")
+    out = []
+    for F in polys:
+        terms = ((e[:-1], c) for e, c in F.terms_dict().items() if value or not e[-1])
+        out.append(Polynomial(base, _accumulate({}, terms, base.p)))
+    return tuple(out)
 
 
 def dehomogenize(F: Polynomial) -> Polynomial:
     """Set the homogenizing (last) variable to 1 and return to the base ring."""
-    ring = F.ring
-    if ring.base is None:
-        raise FieldPolyError("polynomial does not live in an extended ring")
-    terms = ((e[:-1], c) for e, c in F.terms_dict().items())
-    return Polynomial(ring.base, _accumulate({}, terms, ring.p))
+    return _set_last(F.ring, (F,), 1, "polynomial")[0]
 
 
 def dehomogenize_ideal(H: IdealPresentation) -> IdealPresentation:
-    base = H.ring.base
-    if base is None:
-        raise FieldPolyError("ideal does not live in an extended ring")
-    return IdealPresentation(base, tuple(dehomogenize(F) for F in H.generators))
+    return IdealPresentation(H.ring.base, _set_last(H.ring, H.generators, 1, "ideal"))
 
 
 def is_weight_homogeneous(F: Polynomial, weights) -> bool:
     """Homogeneity for the extended weight vector (weights, 1)."""
-    ring = F.ring
-    if len(weights) != ring.n - 1:
+    if len(weights) != F.ring.n - 1:
         raise FieldPolyError("weights must cover all but the homogenizing variable")
     wext = tuple(weights) + (1,)
-    degs = {sum(w * a for w, a in zip(wext, e)) for e in F.terms_dict()}
-    return len(degs) <= 1
+    return len({_weighted_degree(wext, e) for e in F.terms_dict()}) <= 1
 
 
 def fiber_at_zero(H: IdealPresentation) -> IdealPresentation:
     """Special fiber: substitute 0 for the homogenizing variable."""
-    base = H.ring.base
-    if base is None:
-        raise FieldPolyError("ideal does not live in an extended ring")
-    gens = []
-    for F in H.generators:
-        kept = {e[:-1]: c for e, c in F.terms_dict().items() if e[-1] == 0}
-        g = Polynomial(base, kept)
-        if g:
-            gens.append(g)
-    return IdealPresentation(base, tuple(gens))
+    return IdealPresentation(H.ring.base, _set_last(H.ring, H.generators, 0, "ideal"))
 
 
 def initial_forms_ideal(I: IdealPresentation, weights, order) -> IdealPresentation:
-    """Ideal generated by the weight initial forms of a weight-order basis."""
-    weights = validate_weights(I.ring, weights)
-    worder = order_for_weight_refinement(weights, order)
-    gb = reduced_gb(I, worder)
+    """Ideal generated by the weight initial forms of a weight-order basis (weights already checked)."""
+    gb = reduced_gb(I, order_for_weight_refinement(weights, order))
     return IdealPresentation(I.ring, tuple(g.initial_w(weights) for g in gb.elements))
 
 

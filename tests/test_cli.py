@@ -190,6 +190,23 @@ def test_homogenize_and_fibers():
     assert cert["kind"] == "Deformation"
 
 
+def test_homogenize_and_fibers_under_a_weight_order(tmp_path):
+    # the homogenized ideal lives in the ring extended by t, where
+    # weight(1,2; tie=lex) is read as weight(1,2,1; tie=lex)
+    prob = tmp_path / "weight.prob"
+    prob.write_text("ring: p=5; vars=x,y\norder: weight(1,2; tie=lex)\nweight: 1,1\nideal I: x^2 - y;\n")
+    plain = tmp_path / "plain.prob"
+    plain.write_text("ring: p=5; vars=x,y\nweight: 1,1\nideal I: x^2 - y;\n")
+    for args in ([str(prob)], [str(plain), "--order", "weight(1,2; tie=lex)"]):
+        code, payload = run_json(["homogenize", *args])
+        assert code == 0 and payload["result"]["generators"] == ["4*y*t + x^2"]
+        cert = tmp_path / "fibers.json"
+        code, payload = run_json(["fibers", *args, "--verify", "--out", str(cert)])
+        assert code == 0 and payload["result"]["verified"] is True
+        code, payload = run_json(["verify-cert", str(cert)])
+        assert code == 0 and payload["result"]["verified"] is True
+
+
 def test_frobenius_commands():
     code, payload = run_json(["trace", F2X2, "--poly", "x1*x2*x3*x4"])
     assert code == 0 and payload["result"]["trace"] == "1"
@@ -262,6 +279,18 @@ def test_symb_cert_command():
     code, payload = run_json(["symb-cert", F2X3])
     assert code == 0
     assert payload["result"]["certificate"]["kind"] == "Symb"
+
+
+@pytest.mark.parametrize("order", ["grevlex", "weight(1,1,1,1; tie=grevlex)"])
+def test_symb_cert_verifies_outside_lex(tmp_path, order):
+    # each prime's initial generators are recorded in reduced-basis order,
+    # which replay reproduces under every order
+    prob = tmp_path / "prime.prob"
+    prob.write_text("ring: p=3; vars=x,y,z,w\nideal P: x - w, y*z - w^2;\nwitness P: y;\n")
+    code, payload = run_json(["symb-cert", str(prob), "--order", order, "--verify"])
+    assert code == 0 and payload["result"]["verified"] is True
+    code, out, _ = run_cli(["symb-cert", str(prob), "--order", order, "--verify"])
+    assert code == 0 and "verified by replay: True" in out
 
 
 def test_fsplit_command_json():

@@ -188,6 +188,20 @@ def test_symb_runs_full_conclusion_check_even_for_h1():
     assert final["expect"]["all_squarefree"] is True
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex", "weight(1,1,1,1; tie=grevlex)"])
+def test_symb_certificate_lists_initial_generators_as_replay_does(order):
+    # the producer records each prime's initial generators by the replay
+    # operation, in reduced-basis order; outside lex that differs from the
+    # order of the exponent tuples
+    R = fp.ring_new(3, ["x", "y", "z", "w"])
+    order = fp.parse_order(order)
+    P = gb.ideal(R, [R.parse("x - w"), R.parse("y*z - w^2")])
+    cert = cr.symb_certificate([(P, R.parse("y"))], order)
+    leads = [m.text() for m in gb.reduced_gb(P, order).leading_monomials()]
+    assert cert.data["steps"][1]["expect"]["monomials"] == leads
+    assert cr.replay(cert).failed is None
+
+
 # -- squarefree-element lemma ------------------------------------------------------
 
 
@@ -230,6 +244,15 @@ def test_deformation_fibers_weight_homogeneous_input(ring_xy5):
     # both fibers coincide with I itself
     special = gb.ideal(R, [R.parse(t) for t in cert.data["conclusion"]["special_fiber"]])
     assert gb.ideals_equal(special, I, fp.lex())
+    assert cr.verify_certificate(cert)
+
+
+def test_deformation_fibers_under_a_weight_order(ring_xy5):
+    # H lies in the ring extended by t, where weight(1,2; tie=lex) is read as
+    # weight(1,2,1; tie=lex)
+    R = ring_xy5
+    cert = cr.deformation_fibers(gb.ideal(R, [R.parse("x^2 - y")]), (1, 1), fp.weight_order((1, 2), "lex"))
+    assert cert.data["ideals"]["H"]["generators"] == ["4*y*t + x^2"]
     assert cr.verify_certificate(cert)
 
 
@@ -461,6 +484,30 @@ def test_named_forgeries_fail_naming_their_obligation(tamper_corpus):
         forge(forged)
         assert not cr.verify_certificate(forged)
         assert _failure(forged) == named
+
+
+def test_forged_symb_height_is_malformed_before_any_step(monkeypatch):
+    # the witness height, the note and both symbolic powers raised to h > n,
+    # the recorded heights left honest: no prime has that height, and P^h is
+    # far outside the pair budget, so replay rejects it before any step runs
+    R = fp.ring_new(3, ["x", "y", "z"])
+    x, y, z = (R.parse(v) for v in "xyz")
+    data = cr.symb_certificate([(gb.ideal(R, [x, z]), y), (gb.ideal(R, [y, z]), x)], fp.lex()).data
+    assert _failure(data) is None
+
+    def no_symbolic_power(*args):
+        raise AssertionError("a symbolic power was computed")
+
+    monkeypatch.setattr(cr, "symbolic_power_prime", no_symbolic_power)
+    for h in (0, 4, 400):
+        forged = copy.deepcopy(data)
+        forged["witness"]["height"] = h
+        for step in forged["steps"]:
+            if step["op"] == "note" and step["args"]["text"].startswith("h = "):
+                step["args"]["text"] = f"h = max of the heights = {h}"
+            elif step["op"] == "symbolic_power":
+                step["args"]["m"] = h
+        assert _failure(forged) == f"error: malformed certificate: a Symb height lies in 1..3, got {h}"
 
 
 def test_certificate_table_agrees_with_schema_and_replayer(tamper_corpus):

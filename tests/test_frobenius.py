@@ -90,13 +90,31 @@ def test_is_splitting_examples():
 
 
 def test_is_splitting_iff_trace_is_one():
+    # the violation is the first term of f, in its term order, whose exponents
+    # are all p-1 mod p, other than the top monomial; else the top monomial
     rng = random.Random(55)
-    for _ in range(300):
-        p = rng.choice([2, 3])
+    seen = set()
+    for _ in range(600):
+        p = rng.choice([2, 3, 5])
         n = rng.randint(1, 3)
         R = fp.ring_new(p, [f"x{k}" for k in range(n)])
+        top = (p - 1,) * n
         f = random_polynomial(rng, R, 2 * p, max_terms=4)
-        assert fr.is_splitting(f).ok == (fr.trace(f) == R.one())
+        if rng.random() < 0.5:
+            f = f + R.polynomial({top: 1})
+        chk = fr.is_splitting(f)
+        terms = f.terms_dict()
+        other = next((e for e in terms if e != top and all(a % p == p - 1 for a in e)), None)
+        if other is not None:
+            want = (False, other, "monomial with all exponents = -1 mod p other than the top monomial")
+        elif terms.get(top, 0) != 1:
+            want = (False, top, f"top monomial has coefficient {terms.get(top, 0)}, expected 1")
+        else:
+            want = (True, None, "")
+        assert (chk.ok, chk.violation and chk.violation.exponents, chk.reason) == want
+        assert chk.ok == (fr.trace(f) == R.one())
+        seen.add("ok" if chk.ok else "top" if want[1] == top else "other")
+    assert seen == {"ok", "top", "other"}  # each verdict occurs
 
 
 # -- trace iteration -------------------------------------------------------------
