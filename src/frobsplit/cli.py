@@ -370,7 +370,7 @@ def cmd_gb(ctx: Context) -> Outcome:
 def cmd_nf(ctx: Context) -> Outcome:
     f, o = ctx.poly, ctx.order
     gb = reduced_gb(ctx.ideal, o)
-    r = normal_form(f, gb.elements, o) if gb.elements else f
+    r = normal_form(f, gb.elements, o)
     result = {"ideal": ctx.name, "poly": f.text(o), "normal_form": r.text(o)}
     return Outcome(0, f"normal form of {f.text(o)} modulo {ctx.name}: {r.text(o)}", result)
 
@@ -652,7 +652,7 @@ def main(argv=None) -> int:
         args, code, error = argparse.Namespace(command=command, json=True), 2, exc
     except (ResourceLimitError, MemoryError, RecursionError) as exc:
         code, error = 3, exc
-    except (FieldPolyError, criteria.InconsistentInputError, ValueError) as exc:
+    except ValueError as exc:
         code, error = 2, exc
     except Exception as exc:  # a defect, reported like bad input, with its traceback on stderr
         traceback.print_exc()

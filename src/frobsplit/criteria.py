@@ -1,6 +1,6 @@
 """Certificate pipelines for squarefree initial ideals.
 
-Three producers and a replayer:
+Four producers and a replayer:
 
 * :func:`charp_certificate` looks for a reduced-basis element of the Fedder
   colon ``I^[p] : I`` whose leading monomial divides the top monomial
@@ -20,10 +20,11 @@ A certificate is a JSON-ready record: ring, order, named ideals in canonical
 text, a witness, an ordered verification log of typed steps, and the
 conclusion.  One table, ``_KINDS``, gives each kind's steps and conclusion;
 the producers emit them from it and :func:`replay` holds a certificate to it,
-so no trust in the producer is required.  Both sufficient-condition pipelines
-always re-check their conclusion directly; a hit with a failing conclusion
-aborts (for the colon pipeline that is an internal error, for the symbolic
-pipeline it means the caller's primality assertion was wrong).
+so no trust in the producer is required.  A producer holds its certificate to
+the same steps before emitting it, by the function replay uses, and raises
+SoundnessError naming the first step that fails; only the steps that hold by
+construction are skipped.  The symbolic pipeline first checks the caller's
+primality assertion: a failed conclusion there is an InconsistentInputError.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ FIELD_NOTE = (
 
 
 class SoundnessError(RuntimeError):
-    """A sufficient condition held but its guaranteed conclusion failed."""
+    """A producer's own certificate failed one of its steps (a defect, not bad input)."""
 
 
 class InconsistentInputError(FieldPolyError):
@@ -132,9 +133,12 @@ def _certificate(kind, ring, order, ideals: dict, witness: dict) -> Certificate:
     """Record the named ideals (one outside ``ring`` lies in the extended ring) and
     the witness, emit the kind's obligations as the steps, and derive the rest.
 
-    The expected values the obligations leave open are filled by running the
-    replay operation of their step on the producer's own ideals, which carry
-    their cached bases, so producer and replay compute them by one code path.
+    Before the certificate is emitted, each step goes through :func:`_replay_step`
+    on the producer's own ideals, which carry their cached bases: that fills the
+    expected values the obligation leaves open and checks the others, and a
+    step that fails raises SoundnessError.  Skipped are the steps that hold by
+    construction: those that define a recorded ideal (``_DEFINING``) and those
+    about the witness polynomial (``_WITNESS_ARGS``).
     """
     ctx = _ReplayContext(ring, order, ideals)
     data = {
@@ -157,11 +161,11 @@ def _certificate(kind, ring, order, ideals: dict, witness: dict) -> Certificate:
         data["digests"][name] = _digest(data["order"], entry)
     _, _, table = _KINDS[kind]
     obligations, outcome = table(ring, witness)
-    for op, args, expect in obligations:
-        if _RESULT in expect.values():
-            got = _REPLAY[op](ctx, args)
-            expect = {key: got[key] if want is _RESULT else want for key, want in expect.items()}
-        data["steps"].append(_step(op, args, expect))
+    for i, (op, args, expect) in enumerate(obligations):
+        step = _step(op, args, expect)
+        if op not in _DEFINING and not _WITNESS_ARGS & args.keys() and not _replay_step(ctx, step):
+            raise SoundnessError(f"{kind} step {i} {op} does not hold for the certificate being produced")
+        data["steps"].append(step)
     data.update(outcome(data["steps"], ctx.basis))
     return Certificate(data)
 
@@ -173,9 +177,12 @@ def _certificate(kind, ring, order, ideals: dict, witness: dict) -> Certificate:
 # once replay has confirmed their results, and from ``basis(name)``, the
 # reduced basis of a named ideal in canonical text.  An expected value of
 # _RESULT is left open: the producer records what the step's replay
-# operation computes on its ideals, replay recomputes it.
+# operation computes on its ideals, replay recomputes it.  _RESULT equals no
+# JSON value, so no recorded certificate can leave a value open.
 
-_RESULT = None
+_RESULT = object()
+_DEFINING = {"bracket_colon", "symbolic_power", "intersection", "weight_gb", "initial_forms", "homogenize"}
+_WITNESS_ARGS = {"poly", "monomial", "divisor"}
 
 
 def _charp(ring, w):
@@ -322,12 +329,6 @@ def charp_certificate(I: IdealPresentation, order) -> Certificate | NotFound:
             "no minimal generator of the initial ideal of I^[p] : I divides the top monomial",
             {"initial_generators": [m.text() for m in gbC.leading_monomials()], "target": top.text()},
         )
-    if not initial_ideal(I, order).is_squarefree():
-        raise SoundnessError(
-            "Fedder-colon condition held but the initial ideal of I is not "
-            "squarefree; this contradicts the criterion and indicates a bug"
-        )
-
     witness = {"poly": hit.text(order), "leading_monomial": hit.leading_monomial(order).text()}
     return _certificate("CharP", ring, order, {"I": I, "C": gbC.presentation()}, witness)
 
@@ -393,15 +394,6 @@ def deformation_fibers(I: IdealPresentation, weights, order) -> Certificate:
     gb_w = reduced_gb(I, order_for_weight_refinement(weights, order))
     H = homogenize_w(I, weights, order)
     in_w = initial_forms_ideal(I, weights, order)
-    ok_zero = ideals_equal(fiber_at_zero(H), in_w, order)
-    ok_one = ideals_equal(dehomogenize_ideal(H), I, order)
-    ok_hom = all(is_weight_homogeneous(F, weights) for F in H.generators)
-    if not (ok_zero and ok_one and ok_hom):
-        raise SoundnessError(
-            "homogenization fiber checks failed; this contradicts the "
-            "construction and indicates a bug"
-        )
-
     ideals = {"I": I, "W": gb_w.presentation(), "InW": in_w, "H": H}
     return _certificate("Deformation", ring, order, ideals, {"weights": list(weights)})
 
@@ -423,7 +415,6 @@ class StepReplay:
     op: str
     recorded_ok: bool
     recomputed_ok: bool
-    detail: str = ""
 
 
 @dataclass
@@ -593,14 +584,15 @@ _REPLAY = {
 }
 
 
-def _replay_step(ctx: _ReplayContext, step: dict) -> tuple[bool, str]:
+def _replay_step(ctx: _ReplayContext, step: dict) -> bool:
+    """Whether the step recomputes to its expected values, after filling the open ones."""
     got = _REPLAY[step["op"]](ctx, step["args"])
+    expect = step["expect"]
     if not isinstance(got, IdealPresentation):
-        return got == step["expect"], f"recomputed {got}"
-    name = step["expect"]["ideal_equal"]
-    target = ctx.ideal(name)
-    ok = got.ring == target.ring and ideals_equal(got, target, ctx.order_on(got.ring))
-    return ok, f"recomputed ideal {'equals' if ok else 'differs from'} {name}"
+        expect.update({key: got[key] for key, want in expect.items() if want is _RESULT})
+        return got == expect
+    target = ctx.ideal(expect["ideal_equal"])
+    return got.ring == target.ring and ideals_equal(got, target, ctx.order_on(got.ring))
 
 
 def replay(cert: Certificate | dict) -> VerificationReport:
@@ -624,8 +616,7 @@ def replay(cert: Certificate | dict) -> VerificationReport:
     steps = []  # every recorded "ok" is true by now: the obligations fix it
     if failed is None:
         for i, step in enumerate(data["steps"]):
-            ok, detail = _replay_step(ctx, step)
-            steps.append(StepReplay(i, step["op"], step["ok"], ok, detail))
+            steps.append(StepReplay(i, step["op"], step["ok"], _replay_step(ctx, step)))
         failed = next((f"step {s.index} {s.op}" for s in steps if not s.recomputed_ok), None)
     if failed is None:
         derived = outcome(data["steps"], ctx.basis)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import add, mul, neg
+from operator import add, le, mul, neg, sub
 from typing import NamedTuple
 
 # Bracket powers scale exponents by p^e; beyond this the build fails loudly
@@ -207,6 +207,20 @@ def _weighted_degree(weights, exponents) -> int:
     return sum(map(mul, weights, exponents))
 
 
+def _same_ring(a: RingContext, b: RingContext) -> None:
+    # identity first: operands almost always share one ring object
+    if a is not b and a != b:
+        raise RingMismatchError("operands from different rings")
+
+
+def _divides(a, b) -> bool:
+    return all(map(le, a, b))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def _check_growth(exponent_tuples) -> None:
     """Overflow guard for the operations that grow exponents."""
     top = max(map(max, exponent_tuples), default=0)
@@ -230,27 +244,24 @@ class Monomial:
         return _weighted_degree(weights, self.exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.ring != other.ring:
-            raise RingMismatchError("monomials from different rings")
-        exps = tuple(a + b for a, b in zip(self.exponents, other.exponents))
+        _same_ring(self.ring, other.ring)
+        exps = tuple(map(add, self.exponents, other.exponents))
         _check_growth((exps,))
         return Monomial(self.ring, exps)
 
     def divides(self, other: "Monomial") -> bool:
-        if self.ring != other.ring:
-            raise RingMismatchError("monomials from different rings")
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        _same_ring(self.ring, other.ring)
+        return _divides(self.exponents, other.exponents)
 
     def divide(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; raises if not divisible."""
         if not other.divides(self):
             raise FieldPolyError(f"{other} does not divide {self}")
-        return Monomial(self.ring, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(self.ring, tuple(map(sub, self.exponents, other.exponents)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        if self.ring != other.ring:
-            raise RingMismatchError("monomials from different rings")
-        return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        _same_ring(self.ring, other.ring)
+        return Monomial(self.ring, _lcm(self.exponents, other.exponents))
 
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
@@ -328,16 +339,12 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _same_ring(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError("polynomials from different rings")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._same_ring(other)
+        _same_ring(self.ring, other.ring)
         return Polynomial(self.ring, _accumulate(dict(self._coeffs), other._coeffs.items(), self.ring.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._same_ring(other)
+        _same_ring(self.ring, other.ring)
         negated = zip(other._coeffs, map(neg, other._coeffs.values()))
         return Polynomial(self.ring, _accumulate(dict(self._coeffs), negated, self.ring.p))
 
@@ -348,7 +355,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        self._same_ring(other)
+        _same_ring(self.ring, other.ring)
         p = self.ring.p
         a, b = self._coeffs, other._coeffs
         if len(a) > len(b):

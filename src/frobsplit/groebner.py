@@ -41,15 +41,17 @@ from __future__ import annotations
 import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import add, le, neg, sub
+from operator import add, neg, sub
 
 from .field_poly import (
     FieldPolyError,
     Monomial,
     Polynomial,
     RingContext,
-    RingMismatchError,
     ZeroPolynomialError,
+    _divides,
+    _lcm,
+    _same_ring,
 )
 
 DEFAULT_MAX_PAIRS = 10**6
@@ -105,10 +107,6 @@ def _from_terms(ring: RingContext, terms) -> Polynomial:
     return Polynomial(ring, {e: c for _, e, c in terms})
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
 def _in_monomial_ideal(exps, gens) -> bool:
     """Whether each exponent tuple in ``exps`` is a multiple of one in ``gens``.
 
@@ -126,16 +124,6 @@ def _term_exponents(I) -> list | None:
             return None
         exps += g.terms_dict()
     return exps
-
-
-def _same_ring(a: RingContext, b: RingContext) -> None:
-    # identity first: operands almost always share one ring object
-    if a is not b and a != b:
-        raise RingMismatchError("operands from different rings")
-
-
-def _lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def _mask(exps) -> int:
@@ -583,8 +571,6 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
     gb = reduced_gb(I, order)
-    if not gb.elements:
-        return False
     return not normal_form(f, gb.elements, order)
 
 

@@ -41,6 +41,8 @@ from .field_poly import (
     ZeroPolynomialError,
     _accumulate,
     _check_growth,
+    _lcm,
+    _same_ring,
     _weighted_degree,
     order_for_weight_refinement,
     validate_weights,
@@ -49,10 +51,9 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     ReducedGB,
-    _lcm,
     _quotient,
-    _same_ring,
     _term_exponents,
+    ideals_equal,
     member,
     presentation_from_gb,
     reduced_gb,
@@ -202,7 +203,7 @@ def saturate(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
     exponent = 0
     while True:
         nxt = colon(current, f, order)
-        if reduced_gb(nxt, order).elements == reduced_gb(current, order).elements:
+        if ideals_equal(nxt, current, order):
             break
         current = nxt
         exponent += 1

@@ -10,6 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobsplit import cli
 from frobsplit import field_poly as fp
@@ -127,6 +129,15 @@ def test_parse_problem_errors():
         cli.parse_problem("ring: p=5; vars=x\norder: lex\norder: grevlex\n")
     with pytest.raises(fp.ParseError):
         cli.parse_problem("ring: p=5; vars=x\nweight: 1\nweight: 2\n")
+    for text, message in (
+        ("ring: p=5; vars=x\nideal I: x;\nideal I: x^2;", "duplicate ideal 'I' (line 3, column 1)"),
+        ("ring: p=5; vars=x\norder: revlex", "unknown order 'revlex' (line 2, column 8)"),
+        ("ring: p=5; vars=x\norder: weight(1; tie=revlex)", "tiebreak must be lex or grevlex (line 2, column 22)"),
+        ("ring: q=5; vars=x", "expected 'p=' (line 1, column 7)"),
+    ):
+        with pytest.raises(fp.ParseError) as exc:
+            cli.parse_problem(text)
+        assert str(exc.value) == message
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -179,6 +190,11 @@ def test_symbolic_command_uses_file_witness():
     assert code == 0
     assert payload["result"]["witness"] == "x11"
     assert payload["result"]["saturation_exponent"] == 0
+    # --witness overrides the file's witness; one inside the prime is an input error
+    code, payload = run_json(["symbolic", F2X3, "-m", "2", "--witness", "x13"])
+    assert code == 0 and payload["result"]["witness"] == "x13"
+    code, payload = run_json(["symbolic", F2X3, "-m", "2", "--witness", "x11*x22 + x12*x21"])
+    assert code == 2 and payload["error"]["type"] == "WitnessInPrimeError"
 
 
 def test_homogenize_and_fibers():
@@ -279,6 +295,12 @@ def test_symb_cert_command():
     code, payload = run_json(["symb-cert", F2X3])
     assert code == 0
     assert payload["result"]["certificate"]["kind"] == "Symb"
+    code, payload = run_json(["symb-cert", F2X3, "--witness", "x23", "--verify"])
+    assert code == 0 and payload["result"]["verified"] is True
+    assert payload["result"]["certificate"]["witness"]["prime_witnesses"] == {"P1": "x23"}
+    code, payload = run_json(["symb-cert", F2X3, "--witness", "x11*x22 + x12*x21"])
+    assert code == 2 and payload["error"]["type"] == "InconsistentInputError"
+    assert payload["error"]["message"] == "witness for P1 lies inside the prime it must avoid"
 
 
 @pytest.mark.parametrize("order", ["grevlex", "weight(1,1,1,1; tie=grevlex)"])
@@ -384,9 +406,15 @@ def test_error_exit_codes(tmp_path):
     code, payload = run_json(["nf", F2X2, "--poly", "x1^2147483647*x1"])
     assert code == 2 and payload["error"]["type"] == "ExponentOverflowError"
     # weight vectors that do not fit name the flag, or the position in the file
-    code, payload = run_json(["homogenize", FDEF, "--weight", "a,b,c,d,e"])
+    for weight in ("a,b,c,d,e", "1,0,1,1,1"):
+        code, payload = run_json(["homogenize", FDEF, "--weight", weight])
+        assert code == 2 and payload["error"]["type"] == "InputError"
+        assert payload["error"]["message"] == f"--weight expects comma-separated positive integers, got {weight!r}"
+    empty = tmp_path / "empty.prob"
+    empty.write_text("ring: p=5; vars=a\n")
+    code, payload = run_json(["gb", str(empty)])
     assert code == 2 and payload["error"]["type"] == "InputError"
-    assert payload["error"]["message"].startswith("--weight ")
+    assert payload["error"]["message"] == "the problem file declares no ideals"
     code, payload = run_json(["gb", FDEF, "--order", "weight(1,2,3,4; tie=lex)"])
     assert code == 2 and payload["error"]["type"] == "InputError"
     assert payload["error"]["message"].startswith("--order: ")
@@ -635,3 +663,87 @@ def test_subcommand_registries_agree():
     readme = (REPO / "README.md").read_text()
     listing = readme.split("Subcommands: ", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([a-z-]+)`", listing)) == cli.SUBCOMMANDS
+
+
+# -- the CLI contract --------------------------------------------------------------
+
+SOUP = ("ring", "order", "weight", "ideal", "witness", "p", "vars", "tie", "lex", "grevlex", "I", "J", "x", "y",
+        "0", "1", "2", "3", "5", ":", ";", ",", "=", "(", ")", "+", "-", "*", "^", "#", "\n")
+
+
+@st.composite
+def problem_files(draw):
+    """A well-formed problem over p in {2, 3, 5}, n <= 3, exponents <= 3, and
+    strategies for the flags whose values live in its ring."""
+    p, n = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 3))
+    names = ("x", "y", "z")[:n]
+    weights = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(lambda w: ",".join(map(str, w)))
+    orders = st.one_of(st.sampled_from(("lex", "grevlex")), st.builds(
+        "weight({}; tie={})".format, weights, st.sampled_from(("lex", "grevlex"))))
+    # two terms and two generators at most: the pair budget does not bound
+    # the time a lex basis of larger ones can take
+    term = st.tuples(st.integers(1, p - 1), st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    poly = st.lists(term, min_size=1, max_size=2).map(lambda terms: " + ".join(
+        "*".join([str(c)] + [f"{v}^{e}" for v, e in zip(names, es) if e]) for c, es in terms))
+    lines = [f"ring: p={p}; vars={','.join(names)}", f"order: {draw(orders)}", f"weight: {draw(weights)}"]
+    for name in draw(st.sampled_from((["I"], ["I", "J"]))):
+        lines.append(f"ideal {name}: {', '.join(draw(st.lists(poly, min_size=1, max_size=2)))};")
+        if draw(st.booleans()):
+            lines.append(f"witness {name}: {draw(poly)};")
+    flags = {"--order": orders, "--weight": st.one_of(weights, st.just("1,0")),
+             "poly": st.one_of(poly, st.sampled_from(("0", "1", "x + y")))}
+    return "\n".join(lines) + "\n", flags
+
+
+def token_soup():
+    soup = st.lists(st.sampled_from(SOUP), max_size=30).map(" ".join)
+    return st.tuples(soup, st.just({"poly": soup}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_command_line_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    # any command on a well-formed problem or on token soup: exit 0-3, one
+    # envelope that passes the schema under --json, never an internal error,
+    # and every certificate emitted under --verify replays
+    work = tmp_path_factory.getbasetemp() / "contract"
+    work.mkdir(exist_ok=True)
+    text, flags = data.draw(st.one_of(problem_files(), token_soup()))
+    prob, cert = work / "problem.prob", work / "cert.json"
+    prob.write_text(text)
+    command = data.draw(st.sampled_from(cli.SUBCOMMANDS))
+    if command == "verify-cert":
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            made = cli.main(["fsplit", str(prob), "--out", str(cert), "--budget-pairs", "500"]) in (0, 1)
+        if not made:
+            cert.write_text(text)
+    flags = {
+        **flags, "problem": st.just(str(prob)), "certificate": st.just(str(cert)), "--out": st.just(str(cert)),
+        "--budget-pairs": st.integers(1, 500).map(str), "-m": st.integers(0, 2).map(str),
+        "-e": st.integers(0, 2).map(str), "--ideal": st.sampled_from(("I", "J", "K")),
+        "--by-ideal": st.sampled_from(("I", "J")), "--ideals": st.sampled_from(("I", "J", "I,J", "I,K")),
+    }
+    argv = [command]
+    for flag, options in cli._COMMANDS[command][2]:
+        if options.get("action") == "store_true":
+            argv += [flag] if data.draw(st.booleans()) else []
+        elif not flag.startswith("-"):
+            argv.append(data.draw(flags[flag]))
+        elif flag == "--budget-pairs" or options.get("required") or data.draw(st.integers(0, 3)) == 0:
+            argv += [flag, data.draw(flags.get(flag, flags["poly"]))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error without --json
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if "--json" in argv:
+        envelope = json.loads(out.getvalue())
+        jsonschema.validate(envelope, SCHEMA)
+        assert envelope.get("error", {}).get("type") != "InternalError", argv
+        result = envelope.get("result", {})
+        assert "certificate" not in result or "--verify" not in argv or result["verified"] is True, argv
+    else:
+        assert "verified by replay: False" not in out.getvalue(), argv

@@ -27,6 +27,17 @@ def test_charp_certificate_2x2(ring5):
     assert cr.verify_certificate(cert)
 
 
+def test_charp_producer_holds_its_certificate_to_its_steps(monkeypatch):
+    # the producer replays its steps before emitting: a squarefree_initial
+    # step that does not hold stops it, naming the step
+    R = fp.ring_new(2, ["x1", "x2", "x3", "x4"])
+    I = gb.ideal(R, [R.parse("x1*x4 - x2*x3")])
+    real = cr._REPLAY["squarefree_initial"]
+    monkeypatch.setitem(cr._REPLAY, "squarefree_initial", lambda ctx, a: {**real(ctx, a), "all_squarefree": False})
+    with pytest.raises(cr.SoundnessError, match="^CharP step 5 squarefree_initial "):
+        cr.charp_certificate(I, fp.lex())
+
+
 def test_charp_notfound_documented_non_example():
     # I = (x^2) at p = 2: the colon is (x^2), whose generator does not divide x
     R = fp.ring_new(2, ["x"])
@@ -235,6 +246,13 @@ def test_deformation_fibers_simple(ring_xy5):
     assert cert.kind == "Deformation"
     assert cert.data["conclusion"]["special_fiber"] == ["x^2"]
     assert cr.verify_certificate(cert)
+
+
+def test_deformation_producer_holds_its_certificate_to_its_steps(ring_xy5, monkeypatch):
+    R = ring_xy5
+    monkeypatch.setattr(cr, "fiber_at_zero", lambda H: gb.ideal(H.ring.base, [H.ring.base.one()]))
+    with pytest.raises(cr.SoundnessError, match="^Deformation step 3 fiber_zero "):
+        cr.deformation_fibers(gb.ideal(R, [R.parse("x^2 - y")]), (1, 1), fp.lex())
 
 
 def test_deformation_fibers_weight_homogeneous_input(ring_xy5):
@@ -468,6 +486,8 @@ def test_named_forgeries_fail_naming_their_obligation(tamper_corpus):
         (charp, lambda d: d["conclusion"].update(initial_generators=["x1^2"]), "conclusion"),
         (charp, lambda d: d["witness"].update(poly="x1"), "step 2 membership"),
         (charp, lambda d: d["steps"].reverse(), "step 0 squarefree_initial"),
+        # a value a producer leaves open cannot be left open in a recorded certificate
+        (charp, lambda d: d["steps"][5]["expect"].update(monomials=None), "step 5 squarefree_initial"),
     ]
     # an F-split verdict forged onto a certificate of the opposite one: the
     # pentagon edge ideal, and a cusp

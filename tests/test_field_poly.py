@@ -63,6 +63,15 @@ def test_monomial_divide_and_lcm():
     assert a.lcm(R.monomial((0, 3))).exponents == (2, 3)
     with pytest.raises(fp.FieldPolyError):
         b.divide(a)
+    # one ring check with one message for monomials and polynomials; an equal
+    # ring built separately is the same ring
+    S, T = fp.ring_new(2, ["x", "y"]), fp.ring_new(3, ["x", "y"])
+    assert (a * S.monomial((1, 1))).exponents == (3, 2) and b.divides(S.monomial((1, 0)))
+    c, f = T.monomial((1, 0)), R.parse("x + y")
+    for op in (lambda: a * c, lambda: b.divides(c), lambda: a.lcm(c), lambda: c.divide(b),
+               lambda: f + T.parse("x"), lambda: f - T.parse("x"), lambda: f * T.parse("x")):
+        with pytest.raises(fp.RingMismatchError, match="^operands from different rings$"):
+            op()
 
 
 def test_exponent_overflow_rejected():
@@ -276,6 +285,7 @@ def test_initial_w_examples():
     assert g.initial_w(w) == g
     R2 = fp.ring_new(5, ["x", "y"])
     assert R2.parse("x^2 + y").initial_w((1, 1)) == R2.parse("x^2")
+    assert f.weighted_degree(w) == 12 and R2.parse("x^2 + y").weighted_degree((1, 3)) == 3
     with pytest.raises(fp.ZeroPolynomialError):
         R2.zero().initial_w((1, 1))
     # a weight vector of the wrong length is an error, never truncated

@@ -629,6 +629,8 @@ def test_dehomogenize_inverts_homogenize(ring_xy5):
         assert gb.ideals_equal(ops.dehomogenize_ideal(H), I, o)
         for F in H.generators:
             assert ops.is_weight_homogeneous(F, w)
+            with pytest.raises(fp.FieldPolyError, match="all but the homogenizing variable"):
+                ops.is_weight_homogeneous(F, w + (1,))
 
 
 # -- monomial dimension --------------------------------------------------------------
