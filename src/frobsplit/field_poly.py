@@ -415,7 +415,7 @@ class Polynomial:
         """The maximal monomial under the order and its coefficient."""
         if not self._coeffs:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        e = min(self._coeffs, key=order.sort_key(self.ring.n))
+        e = order._greatest(self._coeffs, self.ring.n)
         return Monomial(self.ring, e), self._coeffs[e]
 
     def leading_monomial(self, order) -> Monomial:
@@ -527,6 +527,15 @@ class MonomialOrder:
     def key(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map(neg, self.sort_key(len(exps))(exps)))
 
+    def _greatest(self, exps, n: int) -> tuple[int, ...]:
+        """The greatest of the exponent tuples ``exps``, each of length n.
+
+        Under lex that is the largest tuple, found without building keys.
+        """
+        if self.kind == "lex":
+            return max(exps)
+        return min(exps, key=self.sort_key(n))
+
     def text(self) -> str:
         if self.kind == "weight":
             return f"weight({','.join(map(str, self.weight))}; tie={self.tiebreak})"
@@ -549,6 +558,9 @@ class EliminationOrder:
         return lambda e: (-e[-1],) + base(e[:-1])
 
     key = MonomialOrder.key
+
+    def _greatest(self, exps, n: int) -> tuple[int, ...]:
+        return min(exps, key=self.sort_key(n))
 
 
 def lex() -> MonomialOrder:

@@ -10,22 +10,25 @@ unique carrier f, which makes splitting questions polynomial arithmetic:
 * ``f * trace`` splits Frobenius iff trace(f) = 1, equivalently the two
   support conditions checked by :func:`is_splitting`;
 * ``(f * trace)(I) ⊆ I`` iff f lies in the Fedder colon ``I^[p] : I``,
-  which is ``I^[p] + (g_1...g_k)^(p-1)`` when the shorter of the reduced
-  basis and the generators has ``k = ht I`` elements (a complete
-  intersection), ``d^(p-1)`` times the colon of ``I / d`` when ``ht I = 1``
-  and d is a common factor of the generators, and is built by elimination
-  otherwise;
+  that is, iff ``f * g ∈ I^[p]`` for every generator g of I, which
+  :func:`fedder_membership` decides by division by ``G^[p]``, the p-th
+  powers of the reduced basis G of I, without forming the colon;
+* the colon itself, :func:`fedder_colon`, is ``I^[p] + (g_1...g_k)^(p-1)``
+  when the shorter of the reduced basis and the generators has ``k = ht I``
+  elements (a complete intersection), ``d^(p-1)`` times the colon of
+  ``I / d`` when ``ht I = 1`` and d is a common factor of the generators,
+  and is built by elimination otherwise;
 * an ideal is compatible with a splitting iff the images of the coset
   representatives ``x^a * g`` (a below p, g a generator) all lie in it, which
   :func:`compatible_check` reads off one product ``f * g`` per generator,
-  independently of the colon route.
+  with memberships in I rather than in ``I^[p]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field_poly import ExponentOverflowError, FieldPolyError, Monomial, Polynomial, RingContext
+from .field_poly import ExponentOverflowError, FieldPolyError, Monomial, Polynomial, RingContext, _same_ring
 from .groebner import IdealPresentation, MonomialIdeal, member, presentation_from_gb, reduced_gb
 from .ideal_ops import (
     bracket_of_variables,
@@ -188,7 +191,22 @@ def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
 
 
 def fedder_membership(f: Polynomial, I: IdealPresentation, order) -> bool:
-    """Whether (f * trace)(I) ⊆ I, tested as membership in I^[p] : I."""
+    """Whether (f * trace)(I) ⊆ I, that is, whether f lies in I^[p] : I.
+
+    Tested as ``f * g ∈ I^[p]`` for each generator g of I, by division by
+    ``G^[p]``, the p-th powers of the reduced basis G of I, which is the
+    reduced basis of I^[p] (see docs/notes.md).  When a product or an element
+    of ``G^[p]`` passes the exponent cap, membership in :func:`fedder_colon`
+    decides instead.
+    """
+    _same_ring(f.ring, I.ring)
+    reduced_gb(I, order)  # cached on I, so bracket_power stores G^[p] for this order
+    try:
+        power = bracket_power(I, 1)
+        if order in power._gb_cache:  # else an element of G^[p] passed the cap
+            return all(member(f * g, power, order) for g in I.generators)
+    except ExponentOverflowError:
+        pass
     return member(f, fedder_colon(I, order), order)
 
 
@@ -201,6 +219,7 @@ def compatible_check(f: Polynomial, J: IdealPresentation, order) -> bool:
     ``c * x^(e // p)``, so the terms bucketed by ``e mod p`` are exactly the
     nonzero images (see docs/notes.md).  Kept independent of the Fedder colon.
     """
+    _same_ring(f.ring, J.ring)
     ring = J.ring
     p = ring.p
     for g in J.generators:

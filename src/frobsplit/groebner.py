@@ -380,15 +380,25 @@ class ReducedGB:
     """The unique reduced Groebner basis of an ideal for a fixed order.
 
     Elements are monic, mutually fully reduced, and sorted by leading
-    monomial ascending.
+    monomial ascending.  Their kernel form, the elements as division
+    reducers for this order, is built on first use, once per basis, and
+    serves :func:`member` and :meth:`leading_monomials`.
     """
 
     ring: RingContext
     order: object
     elements: tuple[Polynomial, ...]
+    _kernel: list = field(default=None, init=False, compare=False, repr=False)
+
+    def _reducers(self) -> list:
+        if self._kernel is None:
+            nkey = self.order.sort_key(self.ring.n)
+            kernel = [_Reducer(_to_terms(g, nkey), self.ring.p) for g in self.elements]
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        return tuple(Monomial(self.ring, r.lm) for r in self._reducers())
 
     def presentation(self) -> "IdealPresentation":
         """The ideal generated by these elements, with this basis pre-cached."""
@@ -562,7 +572,7 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     """Whether f lies in I.
 
     By divisibility, term by term, when every generator of I is a single
-    term; otherwise by normal form against the reduced basis.
+    term; otherwise by division by the kernel form of the reduced basis.
     """
     _same_ring(f.ring, I.ring)
     if not f:
@@ -570,8 +580,8 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     monomials = _term_exponents(I)
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
-    gb = reduced_gb(I, order)
-    return not normal_form(f, gb.elements, order)
+    reducers = reduced_gb(I, order)._reducers()
+    return not _reduce(*_heap(_to_terms(f, order.sort_key(f.ring.n))), reducers, f.ring.p)
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:

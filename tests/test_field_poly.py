@@ -266,6 +266,28 @@ def test_leading_term_examples():
         fp.ring_new(5, ["x"]).zero().leading_term(fp.lex())
 
 
+def test_leading_term_against_order_definition():
+    # the leading monomial is greater than every other term by the textbook
+    # definition of each order, including the lex shortcut of largest tuple
+    rng = random.Random(41)
+    R = fp.ring_new(5, ["x", "y", "z", "t"])
+    orders = [
+        fp.lex(),
+        fp.grevlex(),
+        fp.weight_order((3, 1, 2, 1), "lex"),
+        fp.weight_order((1, 2, 2, 3), "grevlex"),
+        fp.EliminationOrder(fp.lex()),
+        fp.EliminationOrder(fp.grevlex()),
+    ]
+    for _ in range(200):
+        f = random_polynomial(rng, R, 5, max_terms=12, nonzero=True)
+        for order in orders:
+            lm, lc = f.leading_term(order)
+            terms = f.terms_dict()
+            assert lc == terms[lm.exponents]
+            assert all(oracle.order_greater(order, lm.exponents, e) for e in terms if e != lm.exponents)
+
+
 def test_leading_term_never_low_weight_term():
     R = fp.ring_new(5, ["x1", "x2", "x3", "x4", "x5"])
     f = R.parse("x4^4 + x4^2*x5^3 - x1*x3")

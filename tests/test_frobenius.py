@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -182,6 +183,18 @@ def test_compatible_check_examples():
     assert fr.compatible_check(theta, gb.ideal(R, [R.parse("x1*x2")]), o)
     assert not fr.compatible_check(theta, gb.ideal(R, [R.parse("x1^2")]), o)
     assert fr.compatible_check(theta, gb.ideal(R, []), o)
+
+
+def test_ring_mismatch_raises_on_zero_and_nonzero_ideals():
+    # the ring is checked before the generators are looked at, so an empty
+    # generator list cannot make a foreign polynomial compatible
+    S = fp.ring_new(5, ["a", "b", "c"])
+    R = fp.ring_new(3, ["x", "y"])
+    f = S.parse("a*b")
+    for J in (gb.ideal(R, []), gb.ideal(R, [R.parse("x*y")])):
+        for check in (fr.compatible_check, fr.fedder_membership):
+            with pytest.raises(fp.RingMismatchError):
+                check(f, J, fp.lex())
 
 
 def coset_definition(f, J, order):
@@ -472,6 +485,83 @@ def test_fedder_colon_matches_elimination(monkeypatch):
         assert got.elements == gb.reduced_gb(expected, order).elements
         seen[kind] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _membership_cases():
+    """The zero ideal, then ideals of every route kind of fedder_colon."""
+    R = fp.ring_new(3, ["x", "y"])
+    yield gb.ideal(R, []), fp.grevlex()
+    yield from _fedder_colon_cases()
+
+
+def test_fedder_membership_matches_colon(monkeypatch):
+    # multiplication into G^[p] against membership in the colon, on every
+    # route kind: f = 0, a multiple of a colon basis element, and a random f,
+    # often outside the colon; the colons are built first, and the
+    # memberships run on fresh presentations with the colon routes failing
+    rng = random.Random(23)
+    cases = []
+    for I, order in _membership_cases():
+        ring = I.ring
+        C = fr.fedder_colon(I, order)
+        h = rng.choice(gb.reduced_gb(C, order).elements)
+        carriers = [
+            ring.zero(),
+            h * random_polynomial(rng, ring, 2, max_terms=2, nonzero=True),
+            random_polynomial(rng, ring, ring.p + 1, max_terms=3),
+        ]
+        kind = "zero" if I.is_zero else _colon_kind(I, order)
+        cases.append((kind, ring, I.generators, order, [(f, gb.member(f, C, order)) for f in carriers]))
+
+    def fail(*args):
+        raise AssertionError("fedder_membership formed a colon")
+
+    monkeypatch.setattr(fr, "fedder_colon", fail)
+    monkeypatch.setattr(fr, "colon_ideal", fail)
+    monkeypatch.setattr(ops, "colon_ideal", fail)
+    kinds, verdicts = Counter(), Counter()
+    for kind, ring, gens, order, expected in cases:
+        I = gb.ideal(ring, gens)
+        for f, want in expected:
+            assert fr.fedder_membership(f, I, order) == want
+            verdicts[want] += 1
+        kinds[kind] += 1
+    assert kinds["zero"] == 1 and min(kinds[k] for k in kinds if k != "zero") >= 10, kinds
+    assert len(kinds) == 7 and verdicts[False] > 200, (kinds, verdicts)
+
+
+def test_fedder_membership_past_the_exponent_cap_uses_the_colon(monkeypatch):
+    # f * g passes MAX_EXPONENT while the colon (g^2) does not, so the colon decides
+    R = fp.ring_new(3, ["x", "y"])
+    order = fp.grevlex()
+    g = R.parse("x^700000000 + y")
+    colons, original = [], fr.fedder_colon
+    monkeypatch.setattr(fr, "fedder_colon", lambda *a: colons.append(a) or original(*a))
+    for f, want in [(g**2 * R.parse("x^50000000 + y"), True), (R.parse("x^1500000000"), False)]:
+        with pytest.raises(fp.ExponentOverflowError):
+            f * g
+        assert fr.fedder_membership(f, gb.ideal(R, [g]), order) == want
+        assert gb.member(f, original(gb.ideal(R, [g]), order), order) == want
+    assert len(colons) == 2
+
+
+def test_fedder_membership_with_a_basis_past_the_cap_uses_the_colon(monkeypatch):
+    # under a cap of 15, the generators' squares pass but the reduced basis
+    # element y*z^10 of I squares past it, so no G^[2] is stored and the colon
+    # decides; the verdicts are the ones of the uncapped multiplication
+    R = fp.ring_new(2, ["x", "y", "z"])
+    order = fp.lex()
+    gens = [R.parse("x*y - y*z^5"), R.parse("x^2")]
+    assert gb.reduced_gb(gb.ideal(R, gens), order).elements[0] == R.parse("y*z^10")
+    carriers = [R.parse(t) for t in ["x*y + y*z^5", "x", "x^3*y - x^2*y*z^5", "x^2*y^2 + 1"]]
+    want = [fr.fedder_membership(f, gb.ideal(R, gens), order) for f in carriers]
+    assert want == [False, False, True, False]
+    colons, original = [], fr.fedder_colon
+    monkeypatch.setattr(fr, "fedder_colon", lambda *a: colons.append(a) or original(*a))
+    monkeypatch.setattr(fp, "MAX_EXPONENT", 15)
+    monkeypatch.setattr(ops, "MAX_EXPONENT", 15)
+    assert [fr.fedder_membership(f, gb.ideal(R, gens), order) for f in carriers] == want
+    assert len(colons) == len(carriers)
 
 
 def test_common_factor_colon_pairs_pinned():

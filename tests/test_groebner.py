@@ -7,6 +7,7 @@ import pytest
 from frobsplit import cli, criteria
 from frobsplit import field_poly as fp
 from frobsplit import groebner as gb
+from frobsplit import ideal_ops as ops
 
 import oracle
 from conftest import FIXTURES, deformed_minors_ideal, random_monomial_ideal, random_order, random_polynomial
@@ -177,6 +178,34 @@ def test_member_of_a_monomial_ideal_matches_normal_form():
         assert got == expected
         verdicts[got] += 1
     assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_member_builds_the_kernel_form_of_a_basis_once(monkeypatch):
+    # a basis converts its elements to kernel form on first use only, whether
+    # reduced_gb made it or bracket_power (here I^[p]); every later member
+    # call converts just f
+    converted = []
+    to_terms = gb._to_terms
+    monkeypatch.setattr(gb, "_to_terms", lambda f, nkey: converted.append(f) or to_terms(f, nkey))
+    rng = random.Random(29)
+    R = fp.ring_new(3, ["x", "y", "z"])
+    o = fp.grevlex()
+    I = gb.ideal(R, [R.parse("x^2 - y*z"), R.parse("x*y - z^2 + x")])
+    G = gb.reduced_gb(I, o)
+    P = ops.bracket_power(I, 1)
+    H = P._gb_cache[o]
+    carriers = [g * random_polynomial(rng, R, 2, max_terms=3) for g in G.elements + H.elements]
+    carriers += [random_polynomial(rng, R, 6, max_terms=4) for _ in range(20)]
+    nonzero = sum(1 for f in carriers if f)
+    for ideal_, basis in ((I, G), (P, H)):
+        assert basis._kernel is None
+        for built in (len(basis), 0):
+            del converted[:]
+            got = [gb.member(f, ideal_, o) for f in carriers]
+            assert len(converted) == built + nonzero
+            assert got == [not gb.normal_form(f, basis.elements, o) for f in carriers]
+            assert True in got and False in got
+        assert basis.leading_monomials() == tuple(g.leading_monomial(o) for g in basis.elements)
 
 
 def test_member_rejects_a_polynomial_from_another_ring():
