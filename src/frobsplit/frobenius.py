@@ -14,10 +14,9 @@ unique carrier f, which makes splitting questions polynomial arithmetic:
   :func:`fedder_membership` decides by division by ``G^[p]``, the p-th
   powers of the reduced basis G of I, without forming the colon;
 * the colon itself, :func:`fedder_colon`, is ``I^[p] + (g_1...g_k)^(p-1)``
-  when the shorter of the reduced basis and the generators has ``k = ht I``
-  elements (a complete intersection), ``d^(p-1)`` times the colon of
-  ``I / d`` when ``ht I = 1`` and d is a common factor of the generators,
-  and is built by elimination otherwise;
+  when the leading monomials of the reduced basis ``g_1, ..., g_k`` have
+  pairwise disjoint supports (a complete intersection), and is built by
+  elimination otherwise;
 * an ideal is compatible with a splitting iff the images of the coset
   representatives ``x^a * g`` (a below p, g a generator) all lie in it, which
   :func:`compatible_check` reads off one product ``f * g`` per generator,
@@ -29,16 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field_poly import ExponentOverflowError, FieldPolyError, Monomial, Polynomial, RingContext, _same_ring
-from .groebner import IdealPresentation, MonomialIdeal, member, presentation_from_gb, reduced_gb
-from .ideal_ops import (
-    bracket_of_variables,
-    bracket_power,
-    colon,
-    colon_ideal,
-    exact_divide,
-    frobenius_power_poly,
-    monomial_dimension,
-)
+from .groebner import IdealPresentation, member, presentation_from_gb, reduced_gb
+from .ideal_ops import _bracket_basis, bracket_of_variables, bracket_power, colon_ideal, frobenius_power_poly
 
 def trace(g: Polynomial) -> Polynomial:
     """Project onto the dual of the top basis monomial of F_*S over S."""
@@ -100,93 +91,39 @@ def is_splitting(f: Polynomial) -> SplittingCheck:
     return SplittingCheck(True)
 
 
-def _complete_intersection_colon(ring: RingContext, gens, order) -> IdealPresentation:
-    """Fedder's ``(g^p for g in gens) + ((prod gens)^(p-1))`` for a regular sequence."""
-    product = ring.one()
-    for g in gens:
-        product = product * g
-    h = product ** (ring.p - 1)
-    if len(gens) <= 1:
-        # g^p = g * h, so the monic h alone is the reduced basis
-        return presentation_from_gb(ring, [h], order)
-    return IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in gens) + (h,))
-
-
-def _common_factor(gens, order) -> Polynomial:
-    """A common factor of gens, a unit only when their gcd is.
-
-    The monomial part of the gcd, the least exponent of each variable over
-    every term, costs no pair.  When it is 1, the gcd comes through principal
-    colons, ``(g) : d = (g / gcd(g, d))``; once d divides the next generator,
-    its colon is one exact division.
-    """
-    least = tuple(map(min, zip(*(e for g in gens for e in g.terms_dict()))))
-    if any(least):
-        return Polynomial(gens[0].ring, {least: 1})
-    d = gens[0]
-    for g in gens[1:]:
-        (q,) = colon(IdealPresentation(d.ring, (g,)), d, order).generators
-        d = exact_divide(g, q, order)
-    return d
-
-
-def _closed_form_colon(I: IdealPresentation, order) -> IdealPresentation | None:
-    """I^[p] : I without elimination, or None when no closed form applies.
-
-    The height of I is read off the leading monomials of its reduced basis G.
-    """
-    ring = I.ring
-    G = reduced_gb(I, order)
-    monomials = G.leading_monomials()
-    leads = [m.exponents for m in monomials]
-    # each variable in at most one leading monomial
-    if all(sum(map(bool, column)) <= 1 for column in zip(*leads)):
-        # pairwise disjoint supports: ht I = |G| with no search (this covers
-        # the zero, unit and every principal ideal)
-        return _complete_intersection_colon(ring, G.elements, order)
-    # two leading monomials share a variable, so |G| - 1 variables meet them
-    # all: ht I < |G|
-    if any(all(column) for column in zip(*leads)):
-        # a variable divides every leading monomial: ht I = 1, and I is not principal
-        gens = G.elements if len(G) < len(I.generators) else I.generators
-        d = _common_factor(gens, order)
-        rest = IdealPresentation(ring, tuple(exact_divide(g, d, order) for g in gens))
-        # lm(d * f) = lm(d) * lm(f), so G / d is a Groebner basis of I / d
-        basis = presentation_from_gb(ring, [exact_divide(g, d, order) for g in G], order)
-        rest._gb_cache[order] = reduced_gb(basis, order)
-        h = d ** (ring.p - 1)
-        # and h times a Groebner basis of the quotients' colon is one of h times it
-        return presentation_from_gb(ring, [h * c for c in reduced_gb(fedder_colon(rest, order), order)], order)
-    # so 2 <= ht I < |G|: only fewer generators, at most n, can be a regular sequence
-    k = len(I.generators)
-    if k < len(G) and k <= ring.n and ring.n - monomial_dimension(MonomialIdeal(ring, monomials)) == k:
-        return _complete_intersection_colon(ring, I.generators, order)
-    return None
-
-
 def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     """The colon ideal I^[p] : I, cached on the presentation per order.
 
-    When the shorter of the reduced basis and the generators has ``ht I``
-    elements, it is a complete intersection and Fedder's lemma gives the
-    colon as ``(g^p for g in gens) + ((prod gens)^(p-1))``; pairwise disjoint
-    leading supports of the reduced basis prove this with no search, and
-    cover the zero, unit and principal ideals.  When ``ht I = 1``, the colon
-    is ``d^(p-1)`` times the colon of ``I / d``, d the monomial part of the
-    gcd of the generators, or the gcd itself when that part is 1 (see
-    docs/notes.md).  Otherwise, or when a closed form passes the
-    exponent cap, the colon is built by elimination.
+    When the leading monomials of the reduced basis ``g_1, ..., g_k`` of I
+    have pairwise disjoint supports, it is a regular sequence and Fedder's
+    lemma gives the colon as ``(g_1^p, ..., g_k^p) + ((g_1...g_k)^(p-1))``;
+    this covers the zero, unit and principal ideals (see docs/notes.md).
+    Otherwise, or when that form passes the exponent cap, the colon is built
+    by elimination.
     """
     key = ("fedder_colon", order)
     cached = I._gb_cache.get(key)
-    if cached is None:
+    if cached is not None:
+        return cached
+    ring = I.ring
+    G = reduced_gb(I, order)
+    # each variable in at most one leading monomial
+    if all(sum(map(bool, column)) <= 1 for column in zip(*(m.exponents for m in G.leading_monomials()))):
         try:
-            cached = _closed_form_colon(I, order)
+            product = ring.one()
+            for g in G:
+                product = product * g
+            h = product ** (ring.p - 1)
+            if len(G) <= 1:
+                # g^p = g * h, so the monic h alone is the reduced basis
+                cached = presentation_from_gb(ring, [h], order)
+            else:
+                cached = IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in G) + (h,))
         except ExponentOverflowError:
             pass  # a product can pass the cap where the colon's basis does not
-        if cached is None:
-            cached = colon_ideal(bracket_power(I, 1), I, order)
-        I._gb_cache[key] = cached
+    if cached is None:
+        cached = colon_ideal(bracket_power(I, 1), I, order)
+    I._gb_cache[key] = cached
     return cached
 
 
@@ -200,14 +137,11 @@ def fedder_membership(f: Polynomial, I: IdealPresentation, order) -> bool:
     decides instead.
     """
     _same_ring(f.ring, I.ring)
-    reduced_gb(I, order)  # cached on I, so bracket_power stores G^[p] for this order
     try:
-        power = bracket_power(I, 1)
-        if order in power._gb_cache:  # else an element of G^[p] passed the cap
-            return all(member(f * g, power, order) for g in I.generators)
+        power = _bracket_basis(reduced_gb(I, order), 1).presentation()
+        return all(member(f * g, power, order) for g in I.generators)
     except ExponentOverflowError:
-        pass
-    return member(f, fedder_colon(I, order), order)
+        return member(f, fedder_colon(I, order), order)
 
 
 def compatible_check(f: Polynomial, J: IdealPresentation, order) -> bool:

@@ -241,6 +241,15 @@ def frobenius_power_poly(f: Polynomial, e: int) -> Polynomial:
     return Polynomial(f.ring, out)
 
 
+def _bracket_basis(G: ReducedGB, e: int) -> ReducedGB:
+    """``G^[q]`` for ``q = p^e``, the reduced basis of ``I^[q]`` when G is that of I.
+
+    No pair is formed (see docs/notes.md); raises ExponentOverflowError when
+    an element passes the cap.
+    """
+    return ReducedGB(G.ring, G.order, tuple(frobenius_power_poly(g, e) for g in G))
+
+
 def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     """Frobenius bracket power: the ideal of p^e-th powers of the generators."""
     if e < 1:
@@ -250,15 +259,12 @@ def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     if e >= MAX_EXPONENT.bit_length() or p**e > MAX_EXPONENT:
         raise ExponentOverflowError(f"bracket power {p}^{e} exceeds MAX_EXPONENT")
     result = IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
-    # G^[q] is the reduced basis of I^[q] for every order that I has a
-    # reduced basis G for (see docs/notes.md)
     for G in list(I._gb_cache.values()):
         if isinstance(G, ReducedGB):
             try:
-                powers = tuple(frobenius_power_poly(g, e) for g in G)
+                result._gb_cache[G.order] = _bracket_basis(G, e)
             except ExponentOverflowError:
                 continue  # a basis element can pass the cap where no generator does
-            result._gb_cache[G.order] = ReducedGB(I.ring, G.order, powers)
     return result
 
 

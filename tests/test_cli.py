@@ -358,32 +358,37 @@ def test_zero_ideal_has_the_unit_fedder_colon(tmp_path):
 
 
 def test_fedder_colon_closed_forms_through_the_cli(tmp_path, monkeypatch):
-    # x*(y, z) has the common factor x; (x*y - y*z, x^2) is a complete
-    # intersection found by its height, as its reduced basis has three
-    # elements; neither the commands nor the replay eliminate
+    # (x - y*z, y^2 - z) has a reduced basis with disjoint leading supports
+    # under lex, a complete intersection whose Fedder colon is closed: neither
+    # the commands nor the replay eliminate.  x*(y, z) has a common factor and
+    # (x*y - y*z, x^2) is a complete intersection only by its height; both
+    # take elimination, with the verdicts of their closed forms
     from frobsplit import frobenius
 
     def no_elimination(*args):
         raise AssertionError("the Fedder colon took the elimination route")
 
-    monkeypatch.setattr(frobenius, "colon_ideal", no_elimination)
     cases = [
-        ("lex", "x*y, x*z", "x^2*y^2*z^2", True),
-        ("grevlex", "x*y - y*z, x^2", "x^4*(x*y - y*z)^2", False),
+        ("lex", "x - y*z, y^2 - z", "(x - y*z)^2*(y^2 - z)^2", True, True),
+        ("lex", "x*y, x*z", "x^2*y^2*z^2", True, False),
+        ("grevlex", "x*y - y*z, x^2", "x^4*(x*y - y*z)^2", False, False),
     ]
-    for order, gens, member, split in cases:
-        prob = tmp_path / "I.prob"
-        prob.write_text(f"ring: p=3; vars=x,y,z\norder: {order}\nideal I: {gens};\n")
-        for poly, expected in ((member, True), ("x*y*z", False)):
-            for command, key in (("fedder", "member"), ("compatible", "compatible")):
-                code, payload = run_json([command, str(prob), "--poly", poly])
-                assert (code, payload["result"][key]) == (0 if expected else 1, expected)
-        cert = tmp_path / "cert.json"
-        code, payload = run_json(["fsplit", str(prob), "--out", str(cert)])
-        assert code == (0 if split else 1)
-        assert payload["result"]["certificate"]["conclusion"]["f_split"] is split
-        code, payload = run_json(["verify-cert", str(cert)])
-        assert code == 0 and payload["result"]["verified"] is True
+    for order, gens, member, split, closed in cases:
+        with monkeypatch.context() as patch:
+            if closed:
+                patch.setattr(frobenius, "colon_ideal", no_elimination)
+            prob = tmp_path / "I.prob"
+            prob.write_text(f"ring: p=3; vars=x,y,z\norder: {order}\nideal I: {gens};\n")
+            for poly, expected in ((member, True), ("x*y*z", False)):
+                for command, key in (("fedder", "member"), ("compatible", "compatible")):
+                    code, payload = run_json([command, str(prob), "--poly", poly])
+                    assert (code, payload["result"][key]) == (0 if expected else 1, expected)
+            cert = tmp_path / "cert.json"
+            code, payload = run_json(["fsplit", str(prob), "--out", str(cert)])
+            assert code == (0 if split else 1)
+            assert payload["result"]["certificate"]["conclusion"]["f_split"] is split
+            code, payload = run_json(["verify-cert", str(cert)])
+            assert code == 0 and payload["result"]["verified"] is True
 
 
 def test_charp_cert_notfound_exit_one(tmp_path):

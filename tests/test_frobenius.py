@@ -393,7 +393,7 @@ def _height(I, order):
 
 
 def _colon_kind(I, order):
-    """Which route fedder_colon should take: read off the reduced basis and the height."""
+    """Which route fedder_colon should take, read off the reduced basis."""
     G = gb.reduced_gb(I, order)
     if G.elements == (I.ring.one(),):
         return "unit"
@@ -402,12 +402,15 @@ def _colon_kind(I, order):
     leads = [m.exponents for m in G.leading_monomials()]
     if all(not any(a and b for a, b in zip(e, f)) for e, f in combinations(leads, 2)):
         return "complete intersection"
-    height = _height(I, order)
-    if height == min(len(G), len(I.generators)):
-        return "complete intersection by height"
-    if height == 1:
-        return "common factor"
-    return "neither"
+    return "elimination"
+
+
+def _fedder_formula(ring, gens):
+    """Fedder's ``(g_1^p, ..., g_k^p) + ((g_1...g_k)^(p-1))``, the colon of a regular sequence."""
+    product = ring.one()
+    for g in gens:
+        product = product * g
+    return gb.ideal(ring, [g**ring.p for g in gens] + [product ** (ring.p - 1)])
 
 
 def _times_minors(p, factor):
@@ -464,27 +467,31 @@ def _fedder_colon_cases():
 
 
 def test_fedder_colon_matches_elimination(monkeypatch):
-    # the closed forms against the general route I^[p] : I by elimination,
-    # which only the last kind takes; a common factor never eliminates on I
-    # itself, but its quotient by the gcd may need to
+    # the closed form against the general route I^[p] : I by elimination,
+    # which every ideal without disjoint leading supports takes; when the
+    # shorter of the reduced basis and the generators has ht I elements (a
+    # complete intersection by its height), elimination against Fedder's
+    # formula on that set
     routed = []
     monkeypatch.setattr(fr, "colon_ideal", lambda *a: routed.append(a) or ops.colon_ideal(*a))
-    seen = dict.fromkeys(
-        ["unit", "principal", "complete intersection", "complete intersection by height", "common factor", "neither"],
-        0,
-    )
+    seen = Counter()
     for I, order in _fedder_colon_cases():
         kind = _colon_kind(I, order)
         del routed[:]
         got = gb.reduced_gb(fr.fedder_colon(I, order), order)
-        if kind == "common factor":
-            assert not any(J is I for _, J, _ in routed)
-        else:
-            assert bool(routed) == (kind == "neither")
-        expected = ops.colon_ideal(ops.bracket_power(I, 1), I, order)
-        assert got.elements == gb.reduced_gb(expected, order).elements
+        assert bool(routed) == (kind == "elimination")
         seen[kind] += 1
-    assert min(seen.values()) >= 10, seen
+        if kind != "elimination":
+            expected = ops.colon_ideal(ops.bracket_power(I, 1), I, order)
+        else:
+            G = gb.reduced_gb(I, order)
+            gens = G.elements if len(G) < len(I.generators) else I.generators
+            if _height(I, order) != len(gens):
+                continue
+            seen["complete intersection by height"] += 1
+            expected = _fedder_formula(I.ring, gens)
+        assert got.elements == gb.reduced_gb(expected, order).elements
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
 
 def _membership_cases():
@@ -495,10 +502,11 @@ def _membership_cases():
 
 
 def test_fedder_membership_matches_colon(monkeypatch):
-    # multiplication into G^[p] against membership in the colon, on every
-    # route kind: f = 0, a multiple of a colon basis element, and a random f,
-    # often outside the colon; the colons are built first, and the
-    # memberships run on fresh presentations with the colon routes failing
+    # multiplication into G^[p] against membership in the colon, on the zero
+    # ideal and every route kind: f = 0, a multiple of a colon basis element,
+    # and a random f, often outside the colon; the colons are built first, and
+    # the memberships run on fresh presentations with the colon routes and
+    # bracket_power failing
     rng = random.Random(23)
     cases = []
     for I, order in _membership_cases():
@@ -514,11 +522,12 @@ def test_fedder_membership_matches_colon(monkeypatch):
         cases.append((kind, ring, I.generators, order, [(f, gb.member(f, C, order)) for f in carriers]))
 
     def fail(*args):
-        raise AssertionError("fedder_membership formed a colon")
+        raise AssertionError("fedder_membership formed a colon or a bracket power")
 
     monkeypatch.setattr(fr, "fedder_colon", fail)
-    monkeypatch.setattr(fr, "colon_ideal", fail)
-    monkeypatch.setattr(ops, "colon_ideal", fail)
+    for name in ("colon_ideal", "bracket_power"):
+        monkeypatch.setattr(fr, name, fail)
+        monkeypatch.setattr(ops, name, fail)
     kinds, verdicts = Counter(), Counter()
     for kind, ring, gens, order, expected in cases:
         I = gb.ideal(ring, gens)
@@ -527,7 +536,7 @@ def test_fedder_membership_matches_colon(monkeypatch):
             verdicts[want] += 1
         kinds[kind] += 1
     assert kinds["zero"] == 1 and min(kinds[k] for k in kinds if k != "zero") >= 10, kinds
-    assert len(kinds) == 7 and verdicts[False] > 200, (kinds, verdicts)
+    assert len(kinds) == 5 and verdicts[False] > 200, (kinds, verdicts)
 
 
 def test_fedder_membership_past_the_exponent_cap_uses_the_colon(monkeypatch):
@@ -546,9 +555,10 @@ def test_fedder_membership_past_the_exponent_cap_uses_the_colon(monkeypatch):
 
 
 def test_fedder_membership_with_a_basis_past_the_cap_uses_the_colon(monkeypatch):
-    # under a cap of 15, the generators' squares pass but the reduced basis
-    # element y*z^10 of I squares past it, so no G^[2] is stored and the colon
-    # decides; the verdicts are the ones of the uncapped multiplication
+    # p-th powers capped at exponent 15: the generators' squares stay below
+    # it, but the reduced basis element y*z^10 of I squares past it, so no
+    # G^[2] is formed and the colon decides; the verdicts are the ones of the
+    # uncapped multiplication
     R = fp.ring_new(2, ["x", "y", "z"])
     order = fp.lex()
     gens = [R.parse("x*y - y*z^5"), R.parse("x^2")]
@@ -558,18 +568,23 @@ def test_fedder_membership_with_a_basis_past_the_cap_uses_the_colon(monkeypatch)
     assert want == [False, False, True, False]
     colons, original = [], fr.fedder_colon
     monkeypatch.setattr(fr, "fedder_colon", lambda *a: colons.append(a) or original(*a))
-    monkeypatch.setattr(fp, "MAX_EXPONENT", 15)
-    monkeypatch.setattr(ops, "MAX_EXPONENT", 15)
+
+    power = ops.frobenius_power_poly
+
+    def capped(g, e):
+        if max(max(t) for t in g.terms_dict()) * R.p**e > 15:
+            raise fp.ExponentOverflowError("exponent past a cap of 15")
+        return power(g, e)
+
+    monkeypatch.setattr(ops, "frobenius_power_poly", capped)
     assert [fr.fedder_membership(f, gb.ideal(R, gens), order) for f in carriers] == want
     assert len(colons) == len(carriers)
 
 
 def test_common_factor_colon_pairs_pinned():
-    # x11 * (2x3 minors): the reduced basis of I (2 pairs), the gcd x11 as
-    # the monomial part of the generators (no pair), and elimination on the
-    # minors, which are no complete intersection (81); elimination on I
-    # itself costs as much as on the minors, so the route costs what
-    # elimination on I does
+    # x11 * (2x3 minors), an ideal of height 1: its Fedder colon is built by
+    # elimination on I itself, 2 pairs for the reduced basis of I and 81 for
+    # the elimination
     order = fp.grevlex()
     with gb.Budget() as budget:
         fr.fedder_colon(_times_minors(2, "x11"), order)
