@@ -2,10 +2,12 @@
 
 Four producers and a replayer:
 
-* :func:`charp_certificate` looks for a reduced-basis element of the Fedder
-  colon ``I^[p] : I`` whose leading monomial divides the top monomial
+* :func:`charp_certificate` looks for a reduced-basis element f of the
+  Fedder colon ``I^[p] : I`` whose leading monomial divides the top monomial
   ``x_1^(p-1)...x_n^(p-1)``; such an element certifies that the initial ideal
-  of I is squarefree.
+  of I is squarefree.  The certificate records I alone: replay checks
+  ``f * g ∈ I^[p]`` for every generator g of I, which is ``f ∈ I^[p] : I``,
+  without forming the colon.
 * :func:`symb_certificate` takes a radical ideal presented as primes with
   witnesses, forms the h-th symbolic power (h the maximal height, read off
   initial-ideal dimensions), and looks for a squarefree leading monomial in
@@ -61,7 +63,7 @@ from .ideal_ops import (
     monomial_dimension,
     symbolic_power_prime,
 )
-from .frobenius import fedder_colon, fsplit_graded_test, top_monomial
+from .frobenius import fedder_colon, fedder_membership, fsplit_graded_test, top_monomial
 
 FIELD_NOTE = (
     "computed over the prime field; reduced Groebner bases do not change "
@@ -188,9 +190,7 @@ _WITNESS_ARGS = {"poly", "monomial", "divisor"}
 def _charp(ring, w):
     poly, lm, top = w["poly"], w["leading_monomial"], top_monomial(ring).text()
     obligations = [
-        ("bracket_colon", {"ideal": "I"}, {"ideal_equal": "C"}),
-        ("initial_generators", {"ideal": "C"}, {"monomials": _RESULT}),
-        ("membership", {"poly": poly, "ideal": "C"}, {"member": True}),
+        ("fedder_multiplier", {"poly": poly, "ideal": "I"}, {"multiplier": True}),
         ("leading_monomial", {"poly": poly}, {"monomial": lm}),
         ("divides", {"divisor": lm, "multiple": top}, {"divides": True}),
         ("squarefree_initial", {"ideal": "I"}, {"monomials": _RESULT, "all_squarefree": True}),
@@ -330,7 +330,7 @@ def charp_certificate(I: IdealPresentation, order) -> Certificate | NotFound:
             {"initial_generators": [m.text() for m in gbC.leading_monomials()], "target": top.text()},
         )
     witness = {"poly": hit.text(order), "leading_monomial": hit.leading_monomial(order).text()}
-    return _certificate("CharP", ring, order, {"I": I, "C": gbC.presentation()}, witness)
+    return _certificate("CharP", ring, order, {"I": I}, witness)
 
 
 def symb_certificate(primes, order) -> Certificate | NotFound:
@@ -544,6 +544,9 @@ def _monomial_dimension(ctx: _ReplayContext, a: dict) -> dict:
 _REPLAY = {
     "note": lambda ctx, a: {},
     "bracket_colon": lambda ctx, a: fedder_colon(ctx.ideal(a["ideal"]), ctx.order),
+    "fedder_multiplier": lambda ctx, a: {
+        "multiplier": fedder_membership(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order)
+    },
     "initial_generators": lambda ctx, a: {"monomials": _squarefree_initial(ctx, a)["monomials"]},
     "membership": lambda ctx, a: {
         "member": member(ctx.ring.parse(a["poly"]), ctx.ideal(a["ideal"]), ctx.order)
@@ -591,8 +594,16 @@ def _replay_step(ctx: _ReplayContext, step: dict) -> bool:
     if not isinstance(got, IdealPresentation):
         expect.update({key: got[key] for key, want in expect.items() if want is _RESULT})
         return got == expect
-    target = ctx.ideal(expect["ideal_equal"])
-    return got.ring == target.ring and ideals_equal(got, target, ctx.order_on(got.ring))
+    name = expect["ideal_equal"]
+    target = ctx.ideal(name)
+    if got.ring != target.ring:
+        return False
+    basis = reduced_gb(got, ctx.order_on(got.ring))
+    if basis.elements == target.generators:
+        # the target is recorded as this reduced basis; later steps reuse it
+        ctx.ideals[name] = basis.presentation()
+        return True
+    return ideals_equal(got, target, basis.order)
 
 
 def replay(cert: Certificate | dict) -> VerificationReport:

@@ -30,6 +30,9 @@ exactly that.  An ideal generated by single terms forms no pairs: its
 minimal generators, made monic, are its reduced basis, and :func:`member`
 decides membership in it by divisibility, term by term, without that basis.
 
+A run raises ExponentOverflowError when a new element's leading monomial
+passes ``MAX_EXPONENT``, the cap of the polynomials it works on.
+
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
 runs (a colon per generator, a saturation, a certificate and its replay) is
@@ -49,6 +52,7 @@ from .field_poly import (
     Polynomial,
     RingContext,
     ZeroPolynomialError,
+    _check_growth,
     _divides,
     _lcm,
     _same_ring,
@@ -346,6 +350,10 @@ def _buchberger(inputs, nkey, p, pair_noise=None, blocks=None):
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
         r = _reduce(*_spair(reducers[i], reducers[j], p, nkey), [reducers[g] for g in active], p)
         if r:
+            # the cap holds for every new leading monomial, one check per
+            # element; tail terms are not checked, as an elimination may
+            # carry them past the cap and drop them again
+            _check_growth([r[0][1]])
             # a new element inherits the sugar of its pair
             install(r, max(spare[i], spare[j]) + sum(lcm))
 

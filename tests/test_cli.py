@@ -254,7 +254,7 @@ def test_certificate_commands_and_verify(tmp_path):
     code, payload = run_json(["verify-cert", str(out)])
     assert code == 0 and payload["result"]["verified"] is True
     # tampered certificates fail with exit 1
-    cert["steps"][4]["expect"]["divides"] = False
+    cert["steps"][2]["expect"]["divides"] = False
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
     code, payload = run_json(["verify-cert", str(bad)])
@@ -268,12 +268,12 @@ def test_verify_cert_names_the_failed_obligation(tmp_path):
     assert code == 0 and "failed" not in payload["result"]
     assert "failed obligation" not in run_cli(["verify-cert", str(cert)])[1]
     data = json.loads(cert.read_text())
-    data["steps"][4]["expect"]["divides"] = False
+    data["steps"][2]["expect"]["divides"] = False
     cert.write_text(json.dumps(data))
     code, payload = run_json(["verify-cert", str(cert)])
-    assert code == 1 and payload["result"]["failed"] == "step 4 divides"
+    assert code == 1 and payload["result"]["failed"] == "step 2 divides"
     code, out, _ = run_cli(["verify-cert", str(cert)])
-    assert code == 1 and "\nfailed obligation: step 4 divides\nverified: False\n" in out
+    assert code == 1 and "\nfailed obligation: step 2 divides\nverified: False\n" in out
 
 
 def test_usage_errors_under_json_print_an_envelope():
@@ -410,6 +410,12 @@ def test_error_exit_codes(tmp_path):
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
     code, payload = run_json(["nf", F2X2, "--poly", "x1^2147483647*x1"])
     assert code == 2 and payload["error"]["type"] == "ExponentOverflowError"
+    # ... and so is a reduced basis past the cap, from generators within it
+    bad.write_text("ring: p=3; vars=x,y\norder: lex\nideal I: x - y^1500000000, x^2 - y;\n")
+    code, payload = run_json(["gb", str(bad)])
+    assert code == 2 and payload["error"] == {
+        "type": "ExponentOverflowError", "message": "exponent 3000000000 exceeds MAX_EXPONENT"
+    }
     # weight vectors that do not fit name the flag, or the position in the file
     for weight in ("a,b,c,d,e", "1,0,1,1,1"):
         code, payload = run_json(["homogenize", FDEF, "--weight", weight])
@@ -470,7 +476,7 @@ def test_error_exit_codes(tmp_path):
     assert run_cli(["charp-cert", F2X2, "--out", str(cert)])[0] == 0
     cert_text = cert.read_text()
     lacking = json.loads(cert_text)
-    del lacking["steps"][2]["args"]["ideal"]
+    del lacking["steps"][0]["args"]["ideal"]
     for text in ("{}", "[1]", json.dumps(lacking)):
         cert.write_text(text)
         code, payload = run_json(["verify-cert", str(cert)])
@@ -507,14 +513,15 @@ def test_pair_budget_bounds_the_whole_command(tmp_path):
         "type": "ResourceLimitError", "message": "pair budget of 1683 exceeded"
     }
     assert run_json(["fsplit", pentagon, "--budget-pairs", "1684"])[0] == 1
-    # charp-cert reduces 84 pairs and the replay of its certificate 90, at
-    # most 20 in one run; --verify draws both from one budget
+    # charp-cert reduces 84 pairs and the replay of its certificate 2, for
+    # the reduced basis of I (the witness is checked by multiplication, with
+    # no colon); --verify draws both from one budget
     cert = str(tmp_path / "cert.json")
-    assert run_json(["charp-cert", F2X3, "--budget-pairs", "173", "--out", cert])[0] == 0
-    assert run_json(["verify-cert", cert, "--budget-pairs", "173"])[0] == 0
-    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "173"])
+    assert run_json(["charp-cert", F2X3, "--budget-pairs", "85", "--out", cert])[0] == 0
+    assert run_json(["verify-cert", cert, "--budget-pairs", "85"])[0] == 0
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "85"])
     assert code == 3 and payload["error"]["type"] == "ResourceLimitError"
-    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "174"])
+    code, payload = run_json(["charp-cert", F2X3, "--verify", "--budget-pairs", "86"])
     assert code == 0 and payload["result"]["verified"] is True
 
 

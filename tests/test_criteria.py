@@ -7,6 +7,7 @@ import pytest
 
 from frobsplit import criteria as cr
 from frobsplit import field_poly as fp
+from frobsplit import frobenius as fr
 from frobsplit import groebner as gb
 from frobsplit import ideal_ops as ops
 
@@ -34,7 +35,7 @@ def test_charp_producer_holds_its_certificate_to_its_steps(monkeypatch):
     I = gb.ideal(R, [R.parse("x1*x4 - x2*x3")])
     real = cr._REPLAY["squarefree_initial"]
     monkeypatch.setitem(cr._REPLAY, "squarefree_initial", lambda ctx, a: {**real(ctx, a), "all_squarefree": False})
-    with pytest.raises(cr.SoundnessError, match="^CharP step 5 squarefree_initial "):
+    with pytest.raises(cr.SoundnessError, match="^CharP step 3 squarefree_initial "):
         cr.charp_certificate(I, fp.lex())
 
 
@@ -80,8 +81,6 @@ def test_charp_2x3_witness_by_hand_cofactors():
     assert f * d13 == x11 * x21 * d13 * d23 * d23 + x12 * x21 * d23 * d13 * d13
     # hence f is in the bracket colon, with the top monomial as lex lead
     assert f.leading_monomial(o).exponents == (1,) * 6
-    from frobsplit import frobenius as fr
-
     assert fr.fedder_membership(f, I, o)
 
 
@@ -315,7 +314,7 @@ def test_certificate_json_roundtrip_and_digests():
     again = cr.Certificate.from_json(text)
     assert again == cert
     assert again.to_json() == text
-    assert set(again.data["digests"]) == {"I", "C"}
+    assert set(again.data["digests"]) == {"I"}
     assert all(len(d) == 64 for d in again.data["digests"].values())
     assert again.data["library_version"]
 
@@ -339,11 +338,12 @@ def test_replay_detects_tampering():
     cert = cr.charp_certificate(I, fp.lex())
     data = json.loads(cert.to_json())
     # forge the witness leading monomial
-    data["steps"][3]["expect"]["monomial"] = "x2*x3"
+    data["steps"][1]["expect"]["monomial"] = "x2*x3"
     assert not cr.verify_certificate(cr.Certificate(data))
-    # forge a generator so that recomputation diverges
+    # forge a generator, and its digest, so that recomputation diverges
     data2 = json.loads(cert.to_json())
-    data2["ideals"]["C"]["generators"] = ["x1"]
+    data2["ideals"]["I"]["generators"] = ["x1"]
+    data2["digests"]["I"] = cr._digest(data2["order"], data2["ideals"]["I"])
     assert not cr.verify_certificate(cr.Certificate(data2))
 
 
@@ -451,6 +451,13 @@ def _mutants(data):
         yield f"edit conclusion {key}", edited, "conclusion"
     for name in data["digests"]:
         yield f"zero digest {name}", mutant(lambda d: d["digests"].update({name: "0" * 64})), f"digest {name}"
+    for name, entry in data["ideals"].items():
+        # another ideal under an honest digest: a recomputation must tell
+        altered = {**entry, "generators": entry["generators"][1:]}
+        digest = cr._digest(data["order"], altered)
+        yield f"alter ideal {name}", mutant(
+            lambda d: (d["ideals"].update({name: altered}), d["digests"].update({name: digest}))
+        ), None
     for kind in [*cr._KINDS, "Other"]:
         if kind != data["kind"]:
             yield f"relabel {kind}", mutant(lambda d: d.update(kind=kind)), None
@@ -479,15 +486,15 @@ def test_every_tampered_certificate_fails_naming_its_obligation(tamper_corpus, n
 def test_named_forgeries_fail_naming_their_obligation(tamper_corpus):
     charp = tamper_corpus["CharP"]
     forgeries = [
-        (charp, lambda d: d.update(steps=[]), "missing step bracket_colon"),
+        (charp, lambda d: d.update(steps=[]), "missing step fedder_multiplier"),
         (charp, lambda d: d.update(steps=[s for s in d["steps"] if s["op"] == "divides"]), "step 0 divides"),
-        (charp, lambda d: d.update(kind="FSplit"), "step 1 initial_generators"),
+        (charp, lambda d: d.update(kind="FSplit"), "step 0 fedder_multiplier"),
         (charp, lambda d: d["digests"].update(I="0" * 64), "digest I"),
         (charp, lambda d: d["conclusion"].update(initial_generators=["x1^2"]), "conclusion"),
-        (charp, lambda d: d["witness"].update(poly="x1"), "step 2 membership"),
+        (charp, lambda d: d["witness"].update(poly="x1"), "step 0 fedder_multiplier"),
         (charp, lambda d: d["steps"].reverse(), "step 0 squarefree_initial"),
         # a value a producer leaves open cannot be left open in a recorded certificate
-        (charp, lambda d: d["steps"][5]["expect"].update(monomials=None), "step 5 squarefree_initial"),
+        (charp, lambda d: d["steps"][3]["expect"].update(monomials=None), "step 3 squarefree_initial"),
     ]
     # an F-split verdict forged onto a certificate of the opposite one: the
     # pentagon edge ideal, and a cusp
@@ -504,6 +511,81 @@ def test_named_forgeries_fail_naming_their_obligation(tamper_corpus):
         forge(forged)
         assert not cr.verify_certificate(forged)
         assert _failure(forged) == named
+
+
+def _rewitness(data, f):
+    """The CharP certificate ``data`` with the witness f, recorded consistently:
+    every step that names the witness or its leading monomial is rewritten."""
+    order = fp.parse_order(data["order"])
+    poly, lm = f.text(order), f.leading_monomial(order).text()
+    forged = copy.deepcopy(data)
+    forged["witness"].update(poly=poly, leading_monomial=lm)
+    for step in forged["steps"]:
+        if "poly" in step["args"]:
+            step["args"]["poly"] = poly
+        if step["op"] == "leading_monomial":
+            step["expect"]["monomial"] = lm
+        elif step["op"] == "divides":
+            step["args"]["divisor"] = lm
+    return forged
+
+
+def test_forged_charp_witness_fails_at_its_obligation(tamper_corpus):
+    # the witness f = x1*x4 + x2*x3 generates I = I^[2] : I.  f + x2 keeps the
+    # leading monomial but leaves the colon; x1*f stays in the colon, but its
+    # leading monomial x1^2*x4 does not divide the top monomial x1*x2*x3*x4
+    data = tamper_corpus["CharP"]
+    R = fp.ring_new(2, data["ring"]["vars"])
+    order = fp.lex()
+    I = gb.ideal(R, [R.parse(t) for t in data["ideals"]["I"]["generators"]])
+    f, g, x1 = R.parse(data["witness"]["poly"]), R.parse("x2"), R.parse("x1")
+    assert _failure(_rewitness(data, f)) is None
+    assert not fr.fedder_membership(g, I, order)
+    assert (f + g).leading_monomial(order) == f.leading_monomial(order)
+    assert _failure(_rewitness(data, f + g)) == "step 0 fedder_multiplier"
+    assert fr.fedder_membership(x1 * f, I, order)
+    assert _failure(_rewitness(data, x1 * f)) == "step 2 divides"
+
+
+def test_charp_replay_forms_no_colon(monkeypatch, tamper_corpus):
+    # the witness is checked by f * g ∈ I^[p] for each generator g: no Fedder
+    # colon, no colon by elimination
+    certs = [tamper_corpus["CharP"], cr.charp_certificate(minors_2x3(p=2)[1], fp.lex()).data]
+
+    def no_colon(*args):
+        raise AssertionError("a colon was formed")
+
+    for module, name in ((cr, "fedder_colon"), (fr, "fedder_colon"), (fr, "colon_ideal"), (ops, "colon_ideal")):
+        monkeypatch.setattr(module, name, no_colon)
+    for data in certs:
+        assert data["steps"][0]["op"] == "fedder_multiplier"
+        assert _failure(data) is None
+
+
+def test_recorded_target_matches_by_text_or_through_the_fallback(monkeypatch):
+    # an honest target is recorded as its own reduced basis and matches it by
+    # text; a permuted or non-reduced generating set of the same ideal
+    # verifies through ideals_equal (so does C[1:]: over F_2 the first element
+    # y^3*z^2 is y*(x^4 + y^2*z^2) + x*(x^3*y + x*y^2*z) + z*(x^2*y^2)), and
+    # a larger ideal does not verify
+    R = fp.ring_new(2, ["x", "y", "z"])
+    data = cr.fsplit_certificate(gb.ideal(R, [R.parse("x^2 + y*z"), R.parse("x*y")]), fp.lex()).data
+    C = data["ideals"]["C"]["generators"]
+    assert len(C) == 5 and any("+" in g for g in C)
+    calls, real = [], cr.ideals_equal
+    monkeypatch.setattr(cr, "ideals_equal", lambda *a: calls.append(a) or real(*a))
+
+    def recorded(gens):
+        forged = copy.deepcopy(data)
+        forged["ideals"]["C"]["generators"] = gens
+        forged["digests"]["C"] = cr._digest(forged["order"], forged["ideals"]["C"])
+        return forged
+
+    assert _failure(recorded(C)) is None and not calls
+    for gens in (C[::-1], [f"{C[0]} + {C[1]}"] + C[1:], C + [C[0]], C[1:]):
+        calls.clear()
+        assert _failure(recorded(gens)) is None and len(calls) == 1, gens
+    assert _failure(recorded(C + ["x*y"])) == "step 0 bracket_colon"
 
 
 def test_forged_symb_height_is_malformed_before_any_step(monkeypatch):

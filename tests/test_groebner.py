@@ -400,6 +400,23 @@ def test_gb_cache_hit_and_consistency():
         assert gb.normal_form(g, a.elements, fp.lex()).is_zero
 
 
+def test_kernel_keeps_the_exponent_cap():
+    # under lex, (x - y^k, x^2 - y) has the basis element y^(2k) + 2*y over
+    # F_3: for k = 2^29 it lies within MAX_EXPONENT and its text parses back;
+    # for k = 1,500,000,000 the run stops when it installs y^(2k), after the
+    # same single pair
+    R = fp.ring_new(3, ["x", "y"])
+    k = 2**29
+    with gb.Budget() as budget:
+        G = gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{k}"), R.parse("x^2 - y")]), fp.lex())
+    assert [g.text(fp.lex()) for g in G] == [f"y^{2 * k} + 2*y", f"x + 2*y^{k}"]
+    assert [R.parse(g.text()) for g in G] == list(G.elements) and budget.pairs == 1
+    I = gb.ideal(R, [R.parse("x - y^1500000000"), R.parse("x^2 - y")])
+    with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
+        gb.reduced_gb(I, fp.lex())
+    assert budget.pairs == 1 and fp.lex() not in I._gb_cache
+
+
 def test_budget_exceeded_is_distinct_error(ring5):
     I = deformed_minors_ideal(ring5)
     with pytest.raises(gb.ResourceLimitError), gb.Budget(max_pairs=1):
