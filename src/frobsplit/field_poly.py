@@ -14,7 +14,8 @@ Each monomial order (lex, grevlex, weight vector with tiebreak, elimination)
 writes its key once, as ``sort_key(n)``: an *additive* integer key vector,
 ``sort_key(m * m') == sort_key(m) + sort_key(m')`` componentwise, ascending
 in descending order; the public ``key`` is its negation.  The Buchberger
-kernel relies on this to sort and shift terms with plain tuple arithmetic.
+kernel relies on this to pack each monomial, key and exponents, into one
+integer, which it sorts and shifts with integer arithmetic.
 Every sparse sum of terms mod p goes through :func:`_accumulate`.
 """
 

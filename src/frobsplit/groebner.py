@@ -1,14 +1,24 @@
 """Buchberger engine: reduced Groebner bases, normal forms, initial ideals.
 
 The public operations work on :class:`~frobsplit.field_poly.Polynomial`
-values; internally polynomials are flattened to lists of ``(nkey, exponents,
-coefficient)`` triples sorted ascending, where ``nkey`` is the order's
-``sort_key``, its negated additive key vector: the leading term comes first,
-and a shifted term's key is a sum.  Division keeps the active terms in a
-dict plus a lazy min-heap of keys, so each reduction step costs one heap pop
+values; internally a polynomial is a list of ``(x, coefficient)`` pairs
+sorted ascending, where ``x`` is its packed monomial (Monagan and Pearce):
+one integer holding the order's additive ``sort_key`` vector in biased
+fields, above one field per exponent whose top bit is a guard bit.  Integer
+order is the order's ``sort_key`` order, so the leading term comes first; a
+shift is one addition; and a leading monomial divides a term iff
+subtracting it from the term with every guard bit set clears none of them.
+Exponents are unpacked only at the boundary: results, leading monomials,
+and the cap check on each new element (see docs/notes.md, "Packed
+monomials").  Division keeps the active terms in a dict plus a lazy
+min-heap of packed monomials, so each reduction step costs one heap pop
 plus one shifted merge of the reducer tail.  An S-pair is the first step of
 its own reduction: the shifted tail of one element seeds the heap and the
 other element is subtracted from it like any reducer.
+
+A run starts with 64-bit exponent fields.  When an input exponent, or any
+term the run forms, sets a guard bit, the run restarts from its inputs with
+fields twice as wide, and the pairs it popped are not charged twice.
 
 Pairs are filtered when they are created, by the installation of Gebauer
 and Moeller: each new element drops the queued pairs it makes redundant
@@ -31,7 +41,9 @@ minimal generators, made monic, are its reduced basis, and :func:`member`
 decides membership in it by divisibility, term by term, without that basis.
 
 A run raises ExponentOverflowError when a new element's leading monomial
-passes ``MAX_EXPONENT``, the cap of the polynomials it works on.
+passes ``MAX_EXPONENT``, the cap of the polynomials it works on, and
+:func:`reduced_gb` does when an element of its result does, outside an
+elimination.
 
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
@@ -41,10 +53,11 @@ bounded as a whole; a run outside any block gets a fresh ``Budget()``.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from operator import add, neg, sub
+from functools import lru_cache
+from struct import Struct
 
 from .field_poly import (
     FieldPolyError,
@@ -100,15 +113,91 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", defau
 
 
 # -- kernel -------------------------------------------------------------------
-# A kernel polynomial is a list of (nkey, exp, coeff) sorted ascending by nkey.
+# A kernel polynomial is a list of (x, coeff) sorted ascending by x, where x is
+# the packed monomial of a _Packing: the leading term comes first.
+
+# exponent field width a run starts from; it doubles while a term passes it.
+# Narrower fields run faster still (16 bits: about 13% less certify CPU than
+# 64), but the benchmark's peak_rss_mb then reads the extra jobs a run
+# completes as a memory regression; see ROADMAP item 1
+_WIDTH = 64
 
 
-def _to_terms(f: Polynomial, nkey):
-    return sorted([(nkey(e), e, c) for e, c in f.terms_dict().items()])
+class _Widen(Exception):
+    """A term of a run passed its packing's exponent fields; the run restarts wider."""
 
 
-def _from_terms(ring: RingContext, terms) -> Polynomial:
-    return Polynomial(ring, {e: c for _, e, c in terms})
+class _Packing:
+    """The monomials of one order on n variables as integers, ``width`` bits per exponent.
+
+    ``pack(e)`` is ``zero + sum(e_i * units[i])``.  At the top it holds the
+    order's ``sort_key`` vector, most significant component first, one biased
+    field per component; below, one ``width``-bit field per exponent, whose
+    top bit (in ``guards``) is clear while the exponent is below
+    ``2^(width - 1)``.  So integers sort like the order's ``sort_key``, a
+    product is a sum less ``zero``, and a shift is one addition (see
+    docs/notes.md, "Packed monomials").
+    """
+
+    __slots__ = ("width", "zero", "units", "guards", "offsets", "unpack", "pack")
+
+    def __init__(self, order, n, width):
+        sort_key = order.sort_key(n)
+        unit_keys = [sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        self.width = width
+        self.offsets = range(0, n * width, width)
+        self.guards = sum(1 << (s + width - 1) for s in self.offsets)
+        self.units = [1 << s for s in self.offsets]
+        self.zero = 0
+        shift = n * width
+        for column in reversed(list(zip(*unit_keys))):
+            # |component| < bound * 2^width while every exponent field holds
+            bound = sum(map(abs, column))
+            self.zero += bound << (shift + width)
+            self.units = [u + (k << shift) for u, k in zip(self.units, column)]
+            shift += width + 1 + bound.bit_length()
+        # ``unpack(x)`` reads the exponent fields back: with one struct of
+        # unsigned integers off the low bytes of x, where the width has one
+        code = {16: "H", 32: "I", 64: "Q"}.get(width)
+        if code:
+            nbytes = (shift + 7) // 8
+            fields = Struct(f"<{n}{code}{nbytes - n * width // 8}x")
+            self.unpack = lambda x: fields.unpack(x.to_bytes(nbytes, "little"))
+        else:
+            mask = (1 << width) - 1
+            self.unpack = lambda x: tuple([(x >> s) & mask for s in self.offsets])
+        # ``pack(e)`` written out for the n variables, as a lambda of integer
+        # literals: about twice as fast as summing a map of products
+        body = "".join(f" + e[{i}] * {u}" for i, u in enumerate(self.units))
+        self.pack = eval(f"lambda e: {self.zero}{body}")
+
+
+@lru_cache(maxsize=32)
+def _packing(order, n, width) -> _Packing:
+    return _Packing(order, n, width)
+
+
+def _widening(order, n, run, width=0):
+    """``run(packing)``, from the initial width or ``width``, doubled while a term passes its fields."""
+    width = max(width, _WIDTH)
+    while True:
+        try:
+            return run(_packing(order, n, width))
+        except _Widen:
+            width *= 2
+
+
+def _to_terms(f: Polynomial, packing):
+    """f in kernel form; raises :class:`_Widen` when an exponent passes the fields."""
+    coeffs = f._coeffs
+    if coeffs and max(map(max, coeffs)) >> (packing.width - 1):
+        raise _Widen
+    return sorted(zip(map(packing.pack, coeffs), coeffs.values()))
+
+
+def _from_terms(ring: RingContext, terms, packing) -> Polynomial:
+    unpack = packing.unpack
+    return Polynomial(ring, {unpack(x): c for x, c in terms})
 
 
 def _in_monomial_ideal(exps, gens) -> bool:
@@ -120,14 +209,33 @@ def _in_monomial_ideal(exps, gens) -> bool:
     return all(any(_divides(g, e) for g in gens) for e in exps)
 
 
-def _term_exponents(I) -> list | None:
-    """The exponent tuples of the generators of I when each is a single term."""
+def _term_exponents(polys) -> list | None:
+    """The exponent tuples of the polynomials when each is a single term."""
     exps = []
-    for g in I.generators:
+    for g in polys:
         if len(g) != 1:
             return None
-        exps += g.terms_dict()
+        exps += g._coeffs
     return exps
+
+
+def _minimal(exps) -> list:
+    """The minimal exponent tuples among ``exps``, in lexicographic order.
+
+    A proper divisor precedes its multiples in lexicographic order, so
+    scanning in that order, a tuple is minimal iff no kept one divides it.
+    """
+    minimal = []
+    for e in sorted(set(exps)):
+        if not any(_divides(f, e) for f in minimal):
+            minimal.append(e)
+    return minimal
+
+
+def _monomial_basis(ring: RingContext, exps, order) -> tuple:
+    """The reduced basis of the monomial ideal on ``exps``: its minimal generators, monic, ascending."""
+    minimal = sorted(_minimal(exps), key=order.sort_key(ring.n), reverse=True)
+    return tuple(Polynomial(ring, {e: 1}) for e in minimal)
 
 
 def _mask(exps) -> int:
@@ -138,172 +246,164 @@ def _mask(exps) -> int:
     return m
 
 
-class _Reducer:
-    """A basis element made monic and preprocessed for division."""
-
-    __slots__ = ("lm", "lm_nkey", "mask", "tail")
-
-    def __init__(self, terms, p):
-        self.lm_nkey, self.lm, lc = terms[0]
-        self.mask = _mask(self.lm)
-        self.tail = terms[1:]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            self.tail = [(k, e, (c * inv) % p) for k, e, c in self.tail]
+def _reducer(terms, p) -> tuple:
+    """A basis element made monic, as its packed leading monomial and its tail."""
+    (x, lc), tail = terms[0], terms[1:]
+    if lc != 1:
+        inv = pow(lc, -1, p)
+        tail = [(t, (c * inv) % p) for t, c in tail]
+    return x, tail
 
 
 def _heap(terms):
-    """The active terms of a division: exponent -> coefficient, and a min-heap.
+    """The active terms of a division: packed monomial -> coefficient, and a min-heap.
 
     An S-pair's active terms come from :func:`_spair`, its first step instead.
     """
     # sorted ascending, the terms are already in heap order
-    return {e: c for _, e, c in terms}, [(k, e) for k, e, _ in terms]
+    return dict(terms), [x for x, _ in terms]
 
 
-def _spair(ra, rb, p, nkey):
+def _spair(ra, rb, lcm, p):
     """The S-polynomial of two reducers, as the active terms of its reduction.
 
-    The tail of ``ra`` shifted to the lcm seeds the heap (a shift keeps it
-    sorted); subtracting the shifted ``rb`` is the first reduction step.
+    ``lcm`` is the packed lcm of their leading monomials.  The tail of ``ra``
+    shifted to it seeds the heap (a shift keeps it sorted); subtracting the
+    shifted ``rb`` is the first reduction step.
     """
-    lcm = _lcm(ra.lm, rb.lm)
-    nk = nkey(lcm)
-    shift = tuple(map(sub, lcm, ra.lm))
-    shift_key = tuple(map(sub, nk, ra.lm_nkey))
-    coeffs, heap = _heap(
-        [(tuple(map(add, k, shift_key)), tuple(map(add, e, shift)), c) for k, e, c in ra.tail]
-    )
-    _subtract(coeffs, heap, rb, lcm, nk, 1, p)
+    (xa, tail_a), (xb, tail_b) = ra, rb
+    shift = lcm - xa
+    heap = [x + shift for x, _ in tail_a]
+    coeffs = dict(zip(heap, [c for _, c in tail_a]))
+    _subtract(coeffs, heap, tail_b, lcm - xb, p - 1, p)
     return coeffs, heap
 
 
-def _reduce(coeffs, heap, reducers, p):
+def _reduce(coeffs, heap, reducers, p, guards):
     """Full normal form of the active terms against a reducer list.
 
     The active terms come from :func:`_heap`, or from :func:`_spair`, which
     makes an S-pair the first step of its reduction.  Scans reducers in list
     order for the first whose leading monomial divides the current maximal
-    term; terms with no divisor move to the remainder.
+    term; terms with no divisor move to the remainder.  A term that sets a
+    guard bit raises :class:`_Widen`.
     """
     remainder = []
     while heap:
-        nk, e = heapq.heappop(heap)
-        c = coeffs.pop(e, 0)
+        x = heappop(heap)
+        c = coeffs.pop(x, 0)
         if not c:
             continue
-        emask = _mask(e)
-        hit = None
-        for red in reducers:
-            if red.mask & ~emask:
-                continue
-            lm = red.lm
-            ok = True
-            for a, b in zip(lm, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                hit = red
+        if x & guards:
+            raise _Widen
+        # lm | x iff no field of (x | guards) - lm borrows from its guard bit
+        xg = x | guards
+        for lm, tail in reducers:
+            if (xg - lm) & guards == guards:
+                _subtract(coeffs, heap, tail, x - lm, p - c, p)
                 break
-        if hit is None:
-            remainder.append((nk, e, c))
-            continue
-        _subtract(coeffs, heap, hit, e, nk, c, p)
+        else:
+            remainder.append((x, c))
     return remainder
 
 
-def _divide(coeffs, heap, red, p):
+def _divide(coeffs, heap, red, p, guards):
     """Exact quotient of the active terms by one reducer, or None.
 
     The heap pass of :func:`_reduce` with a single reducer: the leading
     monomial of ``red`` must divide every maximal term the pass meets, else
     the division leaves a remainder.  The quotient is by the monic reducer,
-    in kernel form.
+    as ``(shift, coefficient)`` pairs, each shift a packed monomial less
+    ``zero``.
     """
     quotient = []
+    lm, tail = red
     while heap:
-        nk, e = heapq.heappop(heap)
-        c = coeffs.pop(e, 0)
+        x = heappop(heap)
+        c = coeffs.pop(x, 0)
         if not c:
             continue
-        if red.mask & ~_mask(e) or not _divides(red.lm, e):
+        if x & guards:
+            raise _Widen
+        if ((x | guards) - lm) & guards != guards:
             return None
-        quotient.append(_subtract(coeffs, heap, red, e, nk, c, p))
+        _subtract(coeffs, heap, tail, x - lm, p - c, p)
+        quotient.append((x - lm, c))
     return quotient
 
 
-def _subtract(coeffs, heap, red, e, nk, c, p):
-    """Cancel the term ``c * x^e`` (kernel key ``nk``) with a multiple of ``red``.
+def _subtract(coeffs, heap, tail, shift, m, p):
+    """Add ``m`` times the reducer tail ``tail``, shifted by ``shift``, to the active terms.
 
-    Merges the shifted reducer tail into the active terms and returns the
-    multiplier ``(nkey, exponents, c)``.
+    With ``m = -c``, this cancels the term ``c * x`` against the reducer whose
+    leading monomial is ``x`` less ``shift``.
     """
-    shift = tuple(map(sub, e, red.lm))
-    shift_key = tuple(map(sub, nk, red.lm_nkey))
-    for tk, te, tc in red.tail:
-        ne = tuple(map(add, te, shift))
-        if ne in coeffs:
-            v = (coeffs[ne] - c * tc) % p
-            if v:
-                coeffs[ne] = v
-            else:
-                del coeffs[ne]
+    for tx, tc in tail:
+        nx = tx + shift
+        v = coeffs.get(nx)
+        if v is None:
+            # m and tc are nonzero mod the prime p, so their product is too
+            coeffs[nx] = m * tc % p
+            heappush(heap, nx)
         else:
-            v = (-c * tc) % p
+            v = (v + m * tc) % p
             if v:
-                coeffs[ne] = v
-                heapq.heappush(heap, (tuple(map(add, tk, shift_key)), ne))
-    return shift_key, shift, c
+                coeffs[nx] = v
+            else:
+                del coeffs[nx]
 
 
-def _buchberger(inputs, nkey, p, pair_noise=None, blocks=None):
+def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None):
     """Run Buchberger to completion; returns a fully reduced basis (kernel form).
 
-    Pairs are installed by the Gebauer-Moeller update, so every pair left in
-    the queue is reduced when popped, and each is charged to the active
-    budget.  Pairs are selected by sugar, then lcm degree, then lcm key.
-    ``blocks`` labels the inputs: inputs sharing a label other than None form
-    a Groebner basis, times one common factor, so a pair inside a block has a
-    standard representation and is treated like a coprime pair: never queued,
-    but kept to drop the pairs it covers.  ``pair_noise`` is a test-only hook:
-    a callable mapping a pair to an extra leading component of its selection
-    key, used to scramble the strategy and exercise the uniqueness of the
-    reduced basis.
+    ``sugars`` are the inputs' total degrees.  Pairs are installed by the
+    Gebauer-Moeller update, so every pair left in the queue is reduced when
+    popped, and each is charged to ``budget``.  Pairs are selected by sugar,
+    then lcm degree, then lcm in the order.  ``blocks`` labels the inputs:
+    inputs sharing a label other than None form a Groebner basis, times one
+    common factor, so a pair inside a block has a standard representation and
+    is treated like a coprime pair: never queued, but kept to drop the pairs
+    it covers.  ``pair_noise`` is a test-only hook: a callable mapping a pair
+    to an extra leading component of its selection key, used to scramble the
+    strategy and exercise the uniqueness of the reduced basis.
     """
-    budget = _ACTIVE_BUDGET.get() or Budget()
+    pack, unpack, guards = packing.pack, packing.unpack, packing.guards
     reducers = []
+    # per element: its leading monomial as a tuple, and the mask of its support
+    lms = []
+    masks = []
     # per element: its block label, and its sugar minus the degree of its lm
     labels = []
     spare = []
     active = []
     heap = []
 
-    def install(terms, sugar, label=None):
-        """Add one element and update the pair queue and the active set."""
+    def install(red, lh, sugar, label=None):
+        """Add one element, with leading monomial ``lh``, and update the pair queue and the active set."""
         nonlocal heap, active
         h = len(reducers)
-        red = _Reducer(terms, p)
+        mh = _mask(lh)
         reducers.append(red)
+        lms.append(lh)
+        masks.append(mh)
         labels.append(label)
-        lh, mh = red.lm, red.mask
         spare_h = sugar - sum(lh)
         spare.append(spare_h)
         # criterion B: drop a queued (i, j) when lm(h) divides lcm(i, j) and
         # both lcm(i, h) and lcm(j, h) properly divide it
         kept = []
         for pair in heap:
-            _, i, j, lcm, mask = pair
+            _, i, j, lcm, mask, _ = pair
             if (
                 mh & ~mask
                 or not _divides(lh, lcm)
-                or _lcm(reducers[i].lm, lh) == lcm
-                or _lcm(reducers[j].lm, lh) == lcm
+                or _lcm(lms[i], lh) == lcm
+                or _lcm(lms[j], lh) == lcm
             ):
                 kept.append(pair)
         if len(kept) < len(heap):
             heap = kept
-            heapq.heapify(heap)
+            heapify(heap)
         # criteria M and F on the new pairs (g, h), as in Gebauer and
         # Moeller: a pair goes when another surviving new pair's lcm divides
         # its own; a pair with a known standard representation (coprime
@@ -312,9 +412,8 @@ def _buchberger(inputs, nkey, p, pair_noise=None, blocks=None):
         # dropped afterwards
         new = []
         for g in active:
-            rg = reducers[g]
-            known = not rg.mask & mh or (label is not None and labels[g] == label)
-            new.append((_lcm(rg.lm, lh), rg.mask | mh, g, known))
+            known = not masks[g] & mh or (label is not None and labels[g] == label)
+            new.append((_lcm(lms[g], lh), masks[g] | mh, g, known))
         alive = [True] * len(new)
         for a, (lcm, mask, _, known) in enumerate(new):
             if known:
@@ -326,56 +425,61 @@ def _buchberger(inputs, nkey, p, pair_noise=None, blocks=None):
         for (lcm, mask, g, known), ok in zip(new, alive):
             if ok and not known:
                 degree = sum(lcm)
-                # the sugar of S(g, h): the larger sugar of its two halves
-                sel = (max(spare[g], spare_h) + degree, degree, tuple(map(neg, nkey(lcm))), g, h)
+                x = pack(lcm)
+                # the sugar of S(g, h): the larger sugar of its two halves;
+                # a larger packed lcm is a smaller one in the order
+                sel = (max(spare[g], spare_h) + degree, degree, -x, g, h)
                 if pair_noise is not None:
                     sel = (pair_noise((g, h)),) + sel
-                heapq.heappush(heap, (sel, g, h, lcm, mask))
+                heappush(heap, (sel, g, h, lcm, mask, x))
         # an element whose leading monomial lm(h) divides is no longer needed
         # as a reducer or as a partner of later pairs
         active = [
-            g for g in active if mh & ~reducers[g].mask or not _divides(lh, reducers[g].lm)
+            g for g in active if mh & ~masks[g] or not _divides(lh, lms[g])
         ]
         active.append(h)
 
-    # an input's sugar is its total degree
-    for terms, label in zip(inputs, blocks or [None] * len(inputs)):
+    for terms, sugar, label in zip(inputs, sugars, blocks or [None] * len(inputs)):
         if terms:
-            install(terms, max(sum(e) for _, e, _ in terms), label)
+            red = _reducer(terms, p)
+            install(red, unpack(red[0]), sugar, label)
 
     while heap:
-        _, i, j, lcm, _ = heapq.heappop(heap)
+        _, i, j, lcm, _, x = heappop(heap)
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
-        r = _reduce(*_spair(reducers[i], reducers[j], p, nkey), [reducers[g] for g in active], p)
+        r = _reduce(*_spair(reducers[i], reducers[j], x, p), [reducers[g] for g in active], p, guards)
         if r:
+            lm = unpack(r[0][0])
             # the cap holds for every new leading monomial, one check per
             # element; tail terms are not checked, as an elimination may
             # carry them past the cap and drop them again
-            _check_growth([r[0][1]])
+            _check_growth([lm])
             # a new element inherits the sugar of its pair
-            install(r, max(spare[i], spare[j]) + sum(lcm))
+            install(_reducer(r, p), lm, max(spare[i], spare[j]) + sum(lcm))
 
-    return _autoreduce([reducers[g] for g in active], p)
+    kept = [reducers[g] for g in active], [lms[g] for g in active], [masks[g] for g in active]
+    return _autoreduce(*kept, p, guards)
 
 
-def _autoreduce(reducers, p):
+def _autoreduce(reducers, lms, masks, p, guards):
     """Minimalize and tail-reduce a Groebner basis; sort ascending by lm.
 
-    Takes the basis as reducers and returns monic kernel polynomials.  The
-    kept reducers serve every element: a leading monomial divides no smaller
+    Takes the basis as reducers, with their leading monomials as tuples and
+    the masks of those, and returns monic kernel polynomials.  The kept
+    reducers serve every element: a leading monomial divides no smaller
     term, so an element's own reducer never fires on its tail.
     """
     keep = [
         r
-        for i, r in enumerate(reducers)
+        for i, (r, lm, mask) in enumerate(zip(reducers, lms, masks))
         if not any(
-            j != i and not o.mask & ~r.mask and _divides(o.lm, r.lm) and (o.lm != r.lm or j < i)
-            for j, o in enumerate(reducers)
+            j != i and not o_mask & ~mask and _divides(o_lm, lm) and (o_lm != lm or j < i)
+            for j, (o_lm, o_mask) in enumerate(zip(lms, masks))
         )
     ]
-    reduced = [[(r.lm_nkey, r.lm, 1)] + _reduce(*_heap(r.tail), keep, p) for r in keep]
+    reduced = [[(x, 1)] + _reduce(*_heap(tail), keep, p, guards) for x, tail in keep]
     reduced.sort(key=lambda t: t[0][0], reverse=True)
     return reduced
 
@@ -396,17 +500,24 @@ class ReducedGB:
     ring: RingContext
     order: object
     elements: tuple[Polynomial, ...]
-    _kernel: list = field(default=None, init=False, compare=False, repr=False)
+    _kernel: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def _reducers(self) -> list:
-        if self._kernel is None:
-            nkey = self.order.sort_key(self.ring.n)
-            kernel = [_Reducer(_to_terms(g, nkey), self.ring.p) for g in self.elements]
+    def _reducers(self, width=0) -> tuple:
+        """The packing and the kernel form, with exponent fields at least ``width`` wide."""
+        kernel = self._kernel
+        if kernel is None or kernel[0].width < width:
+            p = self.ring.p
+
+            def run(packing):
+                return packing, [_reducer(_to_terms(g, packing), p) for g in self.elements]
+
+            kernel = _widening(self.order, self.ring.n, run, width)
             object.__setattr__(self, "_kernel", kernel)
-        return self._kernel
+        return kernel
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(self.ring, r.lm) for r in self._reducers())
+        packing, reducers = self._reducers()
+        return tuple(Monomial(self.ring, packing.unpack(x)) for x, _ in reducers)
 
     def presentation(self) -> "IdealPresentation":
         """The ideal generated by these elements, with this basis pre-cached."""
@@ -433,12 +544,7 @@ class MonomialIdeal:
     generators: tuple[Monomial, ...]
 
     def __post_init__(self):
-        # a proper divisor precedes its multiples in lexicographic order, so
-        # scanning in that order, a tuple is minimal iff no kept one divides it
-        minimal = []
-        for e in sorted(set(m.exponents for m in self.generators)):
-            if not any(_divides(f, e) for f in minimal):
-                minimal.append(e)
+        minimal = _minimal(m.exponents for m in self.generators)
         object.__setattr__(
             self, "generators", tuple(Monomial(self.ring, e) for e in minimal)
         )
@@ -512,31 +618,50 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     if not f:
         return f
     p = f.ring.p
-    nkey = order.sort_key(f.ring.n)
-    reducers = [_Reducer(_to_terms(g, nkey), p) for g in basis]
-    r = _reduce(*_heap(_to_terms(f, nkey)), reducers, p)
-    return _from_terms(f.ring, r)
+
+    def run(packing):
+        reducers = [_reducer(_to_terms(g, packing), p) for g in basis]
+        r = _reduce(*_heap(_to_terms(f, packing)), reducers, p, packing.guards)
+        return _from_terms(f.ring, r, packing)
+
+    return _widening(order, f.ring.n, run)
 
 
 def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None, _blocks=None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal; cached per order.
 
+    Raises ExponentOverflowError when an element passes ``MAX_EXPONENT``.
     ``_blocks`` is private to the elimination in ``ideal_ops``: labels
     parallel to the generators, where generators sharing a label other than
     None are a Groebner basis times one common factor (see ``_buchberger``).
+    Its result is not checked against the cap: an elimination may carry an
+    exponent past it in elements it then drops.
     """
     cached = I._gb_cache.get(order)
     if cached is not None and _pair_noise is None:
         return cached
-    p = I.ring.p
-    nkey = order.sort_key(I.ring.n)
-    inputs = [_to_terms(g, nkey) for g in I.generators]
-    if all(len(t) == 1 for t in inputs):
+    ring, gens = I.ring, I.generators
+    budget = _ACTIVE_BUDGET.get() or Budget()
+    start = budget.pairs
+
+    def run(packing):
+        # a run restarted wider charges its pairs once
+        budget.pairs = start
+        inputs = [_to_terms(g, packing) for g in gens]
+        sugars = [g.degree() for g in gens]
+        basis = _buchberger(inputs, sugars, packing, ring.p, budget, _pair_noise, _blocks)
+        return tuple(_from_terms(ring, t, packing) for t in basis)
+
+    monomials = _term_exponents(gens)
+    if monomials is not None:
         # a monomial ideal's minimal generators are its reduced basis
-        basis = _autoreduce([_Reducer(t, p) for t in inputs], p)
+        elements = _monomial_basis(ring, monomials, order)
     else:
-        basis = _buchberger(inputs, nkey, p, pair_noise=_pair_noise, blocks=_blocks)
-    gb = ReducedGB(I.ring, order, tuple(_from_terms(I.ring, t) for t in basis))
+        elements = _widening(order, ring.n, run)
+    if _blocks is None:
+        for g in elements:
+            _check_growth(g._coeffs)
+    gb = ReducedGB(ring, order, elements)
     if _pair_noise is None:
         I._gb_cache.setdefault(order, gb)
     return gb
@@ -550,24 +675,41 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     responsible for the basis property; the test suite re-checks it on
     fixtures via the S-pair criterion.
     """
-    nkey = order.sort_key(ring.n)
-    reducers = [_Reducer(_to_terms(g, nkey), ring.p) for g in elements if g]
-    basis = _autoreduce(reducers, ring.p)
-    return ReducedGB(ring, order, tuple(_from_terms(ring, t) for t in basis)).presentation()
+    elements = [g for g in elements if g]
+
+    def run(packing):
+        reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
+        lms = [packing.unpack(x) for x, _ in reducers]
+        basis = _autoreduce(reducers, lms, list(map(_mask, lms)), ring.p, packing.guards)
+        return tuple(_from_terms(ring, t, packing) for t in basis)
+
+    monomials = _term_exponents(elements)
+    if monomials is not None:
+        basis = _monomial_basis(ring, monomials, order)
+    elif len(elements) == 1:
+        # one element, made monic, is reduced: its leading monomial divides no smaller term
+        g = elements[0]
+        basis = (g.scale(pow(g.leading_coefficient(order), -1, ring.p)),)
+    else:
+        basis = _widening(order, ring.n, run)
+    return ReducedGB(ring, order, basis).presentation()
 
 
 def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     """g / f when the nonzero f divides g, else None."""
     _same_ring(f.ring, g.ring)
     p = g.ring.p
-    nkey = order.sort_key(g.ring.n)
-    f_terms = _to_terms(f, nkey)
-    q = _divide(*_heap(_to_terms(g, nkey)), _Reducer(f_terms, p), p)
-    if q is None:
-        return None
-    # the kernel divided by the monic f / lc(f)
-    inv = pow(f_terms[0][2], -1, p)
-    return Polynomial(g.ring, {e: (c * inv) % p for _, e, c in q})
+
+    def run(packing):
+        f_terms = _to_terms(f, packing)
+        q = _divide(*_heap(_to_terms(g, packing)), _reducer(f_terms, p), p, packing.guards)
+        if q is None:
+            return None
+        # the kernel divided by the monic f / lc(f)
+        inv = pow(f_terms[0][1], -1, p)
+        return _from_terms(g.ring, [(s + packing.zero, (c * inv) % p) for s, c in q], packing)
+
+    return _widening(order, g.ring.n, run)
 
 
 def initial_ideal(I: IdealPresentation, order) -> MonomialIdeal:
@@ -585,11 +727,17 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     _same_ring(f.ring, I.ring)
     if not f:
         return True
-    monomials = _term_exponents(I)
+    monomials = _term_exponents(I.generators)
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
-    reducers = reduced_gb(I, order)._reducers()
-    return not _reduce(*_heap(_to_terms(f, order.sort_key(f.ring.n))), reducers, f.ring.p)
+    G = reduced_gb(I, order)
+    width = 0
+    while True:
+        packing, reducers = G._reducers(width)
+        try:
+            return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing.guards)
+        except _Widen:
+            width = 2 * packing.width
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:

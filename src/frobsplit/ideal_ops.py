@@ -106,7 +106,7 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
         return reduced_gb(B, order).presentation()
     if _is_unit(B, order):
         return reduced_gb(A, order).presentation()
-    mono_a, mono_b = _term_exponents(A), _term_exponents(B)
+    mono_a, mono_b = _term_exponents(A.generators), _term_exponents(B.generators)
     if mono_a is not None and mono_b is not None:
         # (a) ∩ (b) = (lcm(a, b)), summed over the generators
         return _monomials(ring, [_lcm(a, b) for a in mono_a for b in mono_b], order)
@@ -168,7 +168,7 @@ def colon(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
         return IdealPresentation(ring, I.generators)
     if I.is_zero:
         return IdealPresentation(ring, ())
-    monomials = _term_exponents(I)
+    monomials = _term_exponents(I.generators)
     if monomials is not None and len(f) == 1:
         # (a) : m = (a / gcd(a, m)), summed over the generators
         (m,) = f.terms_dict()

@@ -399,6 +399,16 @@ def test_charp_cert_notfound_exit_one(tmp_path):
     assert payload["result"]["not_found"]["reason"]
 
 
+def test_gb_past_the_cap_by_tail_reduction_exits_2(tmp_path):
+    # no new leading monomial passes MAX_EXPONENT, the reduced basis does
+    prob = tmp_path / "tail.prob"
+    prob.write_text("ring: p=3; vars=z,x,y\norder: lex\nideal I: z - x^3, x - y^1000000000;\n")
+    code, payload = run_json(["gb", str(prob)])
+    assert code == 2 and payload["error"] == {
+        "type": "ExponentOverflowError", "message": "exponent 3000000000 exceeds MAX_EXPONENT"
+    }
+
+
 def test_error_exit_codes(tmp_path):
     code, out, err = run_cli(["gb", str(tmp_path / "missing.prob")])
     assert code == 2 and "error:" in err

@@ -67,12 +67,13 @@ def test_spair_in_the_heap_matches_oracle_s_polynomial():
         for order in orders:
             f = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
             g = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
-            nkey = order.sort_key(n)
-            ra, rb = (gb._Reducer(gb._to_terms(h, nkey), p) for h in (f, g))
-            r = gb._reduce(*gb._spair(ra, rb, p, nkey), [], p)
+            packing = gb._packing(order, n, gb._WIDTH)
+            ra, rb = (gb._reducer(gb._to_terms(h, packing), p) for h in (f, g))
+            lcm = packing.pack(tuple(map(max, packing.unpack(ra[0]), packing.unpack(rb[0]))))
+            r = gb._reduce(*gb._spair(ra, rb, lcm, p), [], p, packing.guards)
             assert r == sorted(r)
             s = oracle.s_polynomial(f, g, order)
-            assert gb._from_terms(R, r) == s
+            assert gb._from_terms(R, r, packing) == s
             checked += p > 2 and bool(s)
     assert checked > 200
 
@@ -415,6 +416,55 @@ def test_kernel_keeps_the_exponent_cap():
     with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
         gb.reduced_gb(I, fp.lex())
     assert budget.pairs == 1 and fp.lex() not in I._gb_cache
+
+
+def test_reduced_gb_checks_the_cap_on_its_result():
+    # under lex, tail reduction alone carries z - x^3 to z - y^(3k): no new
+    # leading monomial passes MAX_EXPONENT, the result does.  An elimination
+    # (any _blocks) may carry such a tail and drop it, so its result is not
+    # checked
+    R = fp.ring_new(3, ["z", "x", "y"])
+    gens = [R.parse("z - x^3"), R.parse("x - y^1000000000")]
+    I = gb.ideal(R, gens)
+    with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
+        gb.reduced_gb(I, fp.lex())
+    assert fp.lex() not in I._gb_cache
+    G = gb.reduced_gb(gb.ideal(R, gens), fp.lex(), _blocks=[None, None])
+    assert [g.text(fp.lex()) for g in G] == ["x + 2*y^1000000000", "z + 2*y^3000000000"]
+
+
+def _narrow_fields(monkeypatch):
+    """Start every run at 16-bit exponent fields; returns the widths packed at, in order."""
+    monkeypatch.setattr(gb, "_WIDTH", 16)
+    widths = []
+    packing = gb._packing
+    monkeypatch.setattr(gb, "_packing", lambda order, n, width: widths.append(width) or packing(order, n, width))
+    return widths
+
+
+def test_a_run_widens_its_fields_and_charges_its_pairs_once(monkeypatch):
+    # under lex, (x - y^a, x^2 - y) has the reduced basis (y^(2a) - y, x - y^a)
+    # after one pair.  With a just below the initial field limit 2^15, y^(2a)
+    # passes it in the run, which restarts at twice the width
+    R = fp.ring_new(3, ["x", "y"])
+    widths = _narrow_fields(monkeypatch)
+    for a, used in [(2, [16]), (2**15 - 1, [16, 32])]:
+        del widths[:]
+        with gb.Budget() as budget:
+            G = gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{a}"), R.parse("x^2 - y")]), fp.lex())
+        assert G.elements == (R.parse(f"y^{2 * a} - y"), R.parse(f"x - y^{a}"))
+        assert widths == used and budget.pairs == 1
+
+
+def test_a_run_widens_twice_before_the_cap_stops_it(monkeypatch):
+    # x - y^(2^30) needs 32-bit fields; the run's y^(2^31) needs 64 and, as a
+    # new leading monomial past MAX_EXPONENT, stops the run after the same
+    # single pair
+    R = fp.ring_new(3, ["x", "y"])
+    widths = _narrow_fields(monkeypatch)
+    with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match=f"^exponent {2**31} exceeds"):
+        gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{2**30}"), R.parse("x^2 - y")]), fp.lex())
+    assert widths == [16, 32, 64] and budget.pairs == 1
 
 
 def test_budget_exceeded_is_distinct_error(ring5):
