@@ -92,7 +92,7 @@ def is_splitting(f: Polynomial) -> SplittingCheck:
 
 
 def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
-    """The colon ideal I^[p] : I, cached on the presentation per order.
+    """The colon ideal I^[p] : I.
 
     When the leading monomials of the reduced basis ``g_1, ..., g_k`` of I
     have pairwise disjoint supports, it is a regular sequence and Fedder's
@@ -101,10 +101,6 @@ def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
     Otherwise, or when that form passes the exponent cap, the colon is built
     by elimination.
     """
-    key = ("fedder_colon", order)
-    cached = I._gb_cache.get(key)
-    if cached is not None:
-        return cached
     ring = I.ring
     G = reduced_gb(I, order)
     # each variable in at most one leading monomial
@@ -116,15 +112,11 @@ def fedder_colon(I: IdealPresentation, order) -> IdealPresentation:
             h = product ** (ring.p - 1)
             if len(G) <= 1:
                 # g^p = g * h, so the monic h alone is the reduced basis
-                cached = presentation_from_gb(ring, [h], order)
-            else:
-                cached = IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in G) + (h,))
+                return presentation_from_gb(ring, [h], order)
+            return IdealPresentation(ring, tuple(frobenius_power_poly(g, 1) for g in G) + (h,))
         except ExponentOverflowError:
             pass  # a product can pass the cap where the colon's basis does not
-    if cached is None:
-        cached = colon_ideal(bracket_power(I, 1), I, order)
-    I._gb_cache[key] = cached
-    return cached
+    return colon_ideal(bracket_power(I, 1), I, order)
 
 
 def fedder_membership(f: Polynomial, I: IdealPresentation, order) -> bool:

@@ -177,9 +177,9 @@ def _packing(order, n, width) -> _Packing:
     return _Packing(order, n, width)
 
 
-def _widening(order, n, run, width=0):
-    """``run(packing)``, from the initial width or ``width``, doubled while a term passes its fields."""
-    width = max(width, _WIDTH)
+def _widening(order, n, run):
+    """``run(packing)``, from the initial width, doubled while a term passes its fields."""
+    width = _WIDTH
     while True:
         try:
             return run(_packing(order, n, width))
@@ -502,27 +502,22 @@ class ReducedGB:
     elements: tuple[Polynomial, ...]
     _kernel: tuple = field(default=None, init=False, compare=False, repr=False)
 
-    def _reducers(self, width=0) -> tuple:
-        """The packing and the kernel form, with exponent fields at least ``width`` wide."""
+    def _reducers(self, packing) -> tuple:
+        """The packing and the kernel form, built at ``packing`` unless one as wide is kept."""
         kernel = self._kernel
-        if kernel is None or kernel[0].width < width:
-            p = self.ring.p
-
-            def run(packing):
-                return packing, [_reducer(_to_terms(g, packing), p) for g in self.elements]
-
-            kernel = _widening(self.order, self.ring.n, run, width)
+        if kernel is None or kernel[0].width < packing.width:
+            kernel = packing, [_reducer(_to_terms(g, packing), self.ring.p) for g in self.elements]
             object.__setattr__(self, "_kernel", kernel)
         return kernel
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        packing, reducers = self._reducers()
+        packing, reducers = _widening(self.order, self.ring.n, self._reducers)
         return tuple(Monomial(self.ring, packing.unpack(x)) for x, _ in reducers)
 
     def presentation(self) -> "IdealPresentation":
         """The ideal generated by these elements, with this basis pre-cached."""
         pres = IdealPresentation(self.ring, self.elements)
-        pres._gb_cache[self.order] = self
+        pres._store_gb(self)
         return pres
 
     def __iter__(self):
@@ -576,8 +571,6 @@ class IdealPresentation:
 
     Zero generators are dropped at construction.  The cache fill is
     idempotent (the reduced basis is unique), so concurrent readers are safe.
-    The same dict caches ideals derived per order under ``(name, order)``
-    keys, such as the Fedder colon.
     ``provenance`` carries operation metadata (saturation exponents, symbolic
     power witnesses) and does not affect equality.
     """
@@ -599,6 +592,18 @@ class IdealPresentation:
     @property
     def is_zero(self) -> bool:
         return not self.generators
+
+    def _cached_gb(self, order) -> ReducedGB | None:
+        """The cached reduced basis for ``order``, if any."""
+        return self._gb_cache.get(order)
+
+    def _store_gb(self, gb: ReducedGB) -> None:
+        """Cache ``gb`` for its order, unless a basis is cached for it already."""
+        self._gb_cache.setdefault(gb.order, gb)
+
+    def _cached_gbs(self) -> list[ReducedGB]:
+        """Every cached reduced basis, one per order."""
+        return list(self._gb_cache.values())
 
 
 def ideal(ring: RingContext, generators) -> IdealPresentation:
@@ -637,7 +642,7 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None, _blocks=None) -
     Its result is not checked against the cap: an elimination may carry an
     exponent past it in elements it then drops.
     """
-    cached = I._gb_cache.get(order)
+    cached = I._cached_gb(order)
     if cached is not None and _pair_noise is None:
         return cached
     ring, gens = I.ring, I.generators
@@ -663,7 +668,7 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None, _blocks=None) -
             _check_growth(g._coeffs)
     gb = ReducedGB(ring, order, elements)
     if _pair_noise is None:
-        I._gb_cache.setdefault(order, gb)
+        I._store_gb(gb)
     return gb
 
 
@@ -731,13 +736,12 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
     G = reduced_gb(I, order)
-    width = 0
-    while True:
-        packing, reducers = G._reducers(width)
-        try:
-            return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing.guards)
-        except _Widen:
-            width = 2 * packing.width
+
+    def run(packing):
+        packing, reducers = G._reducers(packing)
+        return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing.guards)
+
+    return _widening(order, f.ring.n, run)
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:

@@ -81,7 +81,7 @@ def embed(f: Polynomial, ext: RingContext) -> Polynomial:
 
 def _is_unit(I: IdealPresentation, order) -> bool:
     """Whether I shows that it is (1): a constant generator, or a cached basis (1)."""
-    known = I._gb_cache.get(order)
+    known = I._cached_gb(order)
     if known is not None and len(known) == 1 and known.elements[0].degree() == 0:
         return True
     return any(g.degree() == 0 for g in I.generators)
@@ -116,7 +116,7 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
     for label, (X, factor) in enumerate(((A, t), (B, ext.one() - t))):
         # a cached reduced basis G of X stands in for its generators: factor * G
         # is a Groebner basis, so the kernel forms no pair inside it
-        known = X._gb_cache.get(order)
+        known = X._cached_gb(order)
         basis = X.generators if known is None else known.elements
         gens += [factor * embed(g, ext) for g in basis]
         blocks += [None if known is None else label] * len(basis)
@@ -259,12 +259,11 @@ def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:
     if e >= MAX_EXPONENT.bit_length() or p**e > MAX_EXPONENT:
         raise ExponentOverflowError(f"bracket power {p}^{e} exceeds MAX_EXPONENT")
     result = IdealPresentation(I.ring, tuple(frobenius_power_poly(g, e) for g in I.generators))
-    for G in list(I._gb_cache.values()):
-        if isinstance(G, ReducedGB):
-            try:
-                result._gb_cache[G.order] = _bracket_basis(G, e)
-            except ExponentOverflowError:
-                continue  # a basis element can pass the cap where no generator does
+    for G in I._cached_gbs():
+        try:
+            result._store_gb(_bracket_basis(G, e))
+        except ExponentOverflowError:
+            continue  # a basis element can pass the cap where no generator does
     return result
 
 

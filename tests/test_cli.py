@@ -391,6 +391,42 @@ def test_fedder_colon_closed_forms_through_the_cli(tmp_path, monkeypatch):
             assert code == 0 and payload["result"]["verified"] is True
 
 
+def test_commands_form_the_fedder_colon_at_most_once_per_presentation(tmp_path, monkeypatch):
+    # fedder_colon keeps no memo, so no command may form the colon of one
+    # presentation twice: fsplit and charp-cert, with and without --verify,
+    # and verify-cert of their certificates
+    from frobsplit import criteria, frobenius
+
+    calls, original = [], frobenius.fedder_colon
+
+    def counted(I, order):
+        calls.append((I, order))
+        return original(I, order)
+
+    monkeypatch.setattr(frobenius, "fedder_colon", counted)
+    monkeypatch.setattr(criteria, "fedder_colon", counted)
+    not_split = tmp_path / "not_split.prob"
+    not_split.write_text("ring: p=3; vars=x,y,z\norder: grevlex\nideal I: x*y - y*z, x^2;\n")
+    cert = tmp_path / "cert.json"
+    formed = []
+    for prob in (FIXTURES / "minors_2x3.prob", not_split):
+        for command in ("fsplit", "charp-cert"):
+            for verify in ([], ["--verify"]):
+                cert.unlink(missing_ok=True)
+                for args in ([command, str(prob), "--out", str(cert)] + verify, ["verify-cert", str(cert)]):
+                    if args[0] == "verify-cert" and not cert.exists():
+                        continue
+                    del calls[:]
+                    assert run_json(args)[0] in (0, 1)
+                    # the calls hold their presentations, so no two share an id
+                    keys = [(id(I), order) for I, order in calls]
+                    assert len(keys) == len(set(keys)), args
+                    formed.append((args[0], len(calls)))
+    # every producer forms the colon, and so does the replay of an FSplit certificate
+    assert all(n for command, n in formed if command != "verify-cert")
+    assert ("verify-cert", 1) in formed
+
+
 def test_charp_cert_notfound_exit_one(tmp_path):
     prob = tmp_path / "sq.prob"
     prob.write_text("ring: p=2; vars=x\norder: lex\nideal I: x^2;\n")

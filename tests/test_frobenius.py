@@ -374,13 +374,6 @@ def test_charp_success_implies_f_split():
         assert fr.fsplit_graded_test(I, fp.lex()).split
 
 
-def test_fedder_colon_is_cached():
-    R = fp.ring_new(2, ["x", "y"])
-    I = gb.ideal(R, [R.parse("x*y")])
-    a = fr.fedder_colon(I, fp.lex())
-    assert fr.fedder_colon(I, fp.lex()) is a
-
-
 def _height(I, order):
     """ht I = n - dim S/in(I): the fewest variables meeting every leading monomial."""
     leads = [m.exponents for m in gb.reduced_gb(I, order).leading_monomials()]

@@ -173,7 +173,7 @@ def test_member_of_a_monomial_ideal_matches_normal_form():
             if rng.random() < 0.3:
                 f = f + random_polynomial(rng, R, 4, max_terms=1)
         got = gb.member(f, I, o)
-        assert I._gb_cache == {}
+        assert I._cached_gb(o) is None
         G = gb.reduced_gb(gb.ideal(R, I.generators), o)
         expected = not f or (bool(G.elements) and not gb.normal_form(f, G.elements, o))
         assert got == expected
@@ -194,7 +194,7 @@ def test_member_builds_the_kernel_form_of_a_basis_once(monkeypatch):
     I = gb.ideal(R, [R.parse("x^2 - y*z"), R.parse("x*y - z^2 + x")])
     G = gb.reduced_gb(I, o)
     P = ops.bracket_power(I, 1)
-    H = P._gb_cache[o]
+    H = P._cached_gb(o)
     carriers = [g * random_polynomial(rng, R, 2, max_terms=3) for g in G.elements + H.elements]
     carriers += [random_polynomial(rng, R, 6, max_terms=4) for _ in range(20)]
     nonzero = sum(1 for f in carriers if f)
@@ -415,7 +415,7 @@ def test_kernel_keeps_the_exponent_cap():
     I = gb.ideal(R, [R.parse("x - y^1500000000"), R.parse("x^2 - y")])
     with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
         gb.reduced_gb(I, fp.lex())
-    assert budget.pairs == 1 and fp.lex() not in I._gb_cache
+    assert budget.pairs == 1 and I._cached_gb(fp.lex()) is None
 
 
 def test_reduced_gb_checks_the_cap_on_its_result():
@@ -428,7 +428,7 @@ def test_reduced_gb_checks_the_cap_on_its_result():
     I = gb.ideal(R, gens)
     with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
         gb.reduced_gb(I, fp.lex())
-    assert fp.lex() not in I._gb_cache
+    assert I._cached_gb(fp.lex()) is None
     G = gb.reduced_gb(gb.ideal(R, gens), fp.lex(), _blocks=[None, None])
     assert [g.text(fp.lex()) for g in G] == ["x + 2*y^1000000000", "z + 2*y^3000000000"]
 
@@ -465,6 +465,37 @@ def test_a_run_widens_twice_before_the_cap_stops_it(monkeypatch):
     with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match=f"^exponent {2**31} exceeds"):
         gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{2**30}"), R.parse("x^2 - y")]), fp.lex())
     assert widths == [16, 32, 64] and budget.pairs == 1
+
+
+def test_every_kernel_entry_widens_its_fields(monkeypatch):
+    # member, normal_form, presentation_from_gb and _quotient each restart at
+    # 32-bit fields when an input exponent reaches 2^15, with the result of a
+    # run at the default width.  Each case builds its ideal afresh, so no
+    # basis or kernel form carries over from the default-width run
+    R = fp.ring_new(3, ["x", "y"])
+    o = fp.lex()
+    a = 2**15
+    h = R.parse("x^2 - y")
+    inside, outside = h * R.parse(f"y^{a} + x"), R.parse(f"x*y^{a} + y")
+    basis = [R.parse(f"x - y^{a}"), R.parse(f"y^{a + 1} - y")]
+    # each case, with the widths it packs at: member's reduced_gb runs at 16
+    cases = {
+        "member": (lambda: [gb.member(f, gb.ideal(R, [h]), o) for f in (inside, outside)], [16, 16, 32] * 2),
+        "normal_form": (lambda: gb.normal_form(outside, [h], o), [16, 32]),
+        "presentation_from_gb": (lambda: gb.presentation_from_gb(R, basis, o).generators, [16, 32]),
+        "_quotient": (lambda: gb._quotient(inside, h, o), [16, 32]),
+    }
+    expected = {name: case() for name, (case, _) in cases.items()}
+    assert expected["member"] == [True, False]
+    widths = _narrow_fields(monkeypatch)
+    for name, (case, used) in cases.items():
+        del widths[:]
+        assert case() == expected[name], name
+        assert widths == used, name
+    # the kernel form is rebuilt wider, never narrower
+    I = gb.ideal(R, [h])
+    assert gb.member(inside, I, o) and not gb.member(R.parse("x"), I, o)
+    assert gb.reduced_gb(I, o)._kernel[0].width == 32
 
 
 def test_budget_exceeded_is_distinct_error(ring5):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function or class is used somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private module-level function or class is used somewhere in the library,
+and only ``groebner.py`` names the cache of reduced bases.
 
 No linter runs on the package, so an import, or a private helper, left
 behind when the code that used it is deleted would stay unnoticed;
@@ -54,3 +55,10 @@ def test_every_private_definition_is_referenced():
         and node.name not in referenced
     )
     assert not unused, f"private definitions that nothing in the library references: {unused}"
+
+
+def test_only_groebner_names_the_basis_cache():
+    # other modules reach IdealPresentation's cache through its _cached_gb,
+    # _store_gb and _cached_gbs methods, so its layout has one owner
+    naming = [path.name for path in SOURCES if "_gb_cache" in path.read_text(encoding="utf-8")]
+    assert naming == ["groebner.py"]
