@@ -9,41 +9,46 @@ order is the order's ``sort_key`` order, so the leading term comes first; a
 shift is one addition; and a leading monomial divides a term iff
 subtracting it from the term with every guard bit set clears none of them.
 Exponents are unpacked only at the boundary: results, leading monomials,
-and the cap check on each new element (see docs/notes.md, "Packed
-monomials").  Division keeps the active terms in a dict plus a lazy
-min-heap of packed monomials, so each reduction step costs one heap pop
-plus one shifted merge of the reducer tail.  An S-pair is the first step of
-its own reduction: the shifted tail of one element seeds the heap and the
-other element is subtracted from it like any reducer.
+the cap check on each new element, and the lcm of each queued pair (see
+docs/notes.md, "Packed monomials").  Division keeps the active terms in a
+dict plus a lazy min-heap of packed monomials, so each reduction step costs
+one heap pop plus one shifted merge of the reducer tail.  An S-pair is the
+first step of its own reduction: the shifted tail of one element seeds the
+heap and the other element is subtracted from it like any reducer.
 
 A run starts with 64-bit exponent fields.  When an input exponent, or any
 term the run forms, sets a guard bit, the run restarts from its inputs with
-fields twice as wide, and the pairs it popped are not charged twice.
+fields twice as wide, and the pairs it popped are not charged twice.  A
+basis made by a run keeps that run's kernel form.
 
 Pairs are filtered when they are created, by the installation of Gebauer
-and Moeller: each new element drops the queued pairs it makes redundant
-(criterion B), keeps one new pair per minimal lcm and none whose leading
-monomials are coprime (criteria M and F), and retires every element whose
-leading monomial it divides.  Every pair that survives to be popped is
-reduced; pairs are popped by the sugar strategy of Giovini, Mora, Niesi,
-Robbiano and Traverso (minimal sugar, then lcm degree, then lcm key): an
-input's sugar is its total degree, a pair's is the larger of its two halves'
-sugar shifted to the lcm, and a new element keeps the sugar of its pair, so
-an inhomogeneous input (such as an elimination's ``t*f`` and ``(1-t)*g``)
-is worked through as if it were homogenized.  An elimination may also mark
+and Moeller, on the exponent words of leading monomials: the lcm of two is
+one borrow-mask select and they are coprime iff it is their sum.  Each new
+element drops the queued pairs it makes redundant (criterion B), keeps one
+new pair per minimal lcm and none whose leading monomials are coprime
+(criteria M and F), and retires every element whose leading monomial it
+divides.  Every pair that survives to be popped is reduced; pairs are
+popped by the sugar strategy of Giovini, Mora, Niesi, Robbiano and
+Traverso (minimal sugar, then lcm degree, then lcm key): an input's sugar
+is its total degree, a pair's is the larger of its two halves' sugar
+shifted to the lcm, and a new element keeps the sugar of its pair, so an
+inhomogeneous input (such as an elimination's ``t*f`` and ``(1-t)*g``) is
+worked through as if it were homogenized.  An elimination may also mark
 inputs that already form a Groebner basis (times one common factor); the
 pairs inside such a block have a standard representation and are never
-queued (see docs/notes.md, "Known bases in an elimination").  The output is
-the unique reduced Groebner basis, so the result is independent of the
+queued (see docs/notes.md, "Known bases in an elimination"), and it
+minimalizes and tail-reduces only the elements free of ``t``.  The output
+is the unique reduced Groebner basis, so the result is independent of the
 selection strategy; a private hook lets tests randomize selection to check
 exactly that.  An ideal generated by single terms forms no pairs: its
 minimal generators, made monic, are its reduced basis, and :func:`member`
 decides membership in it by divisibility, term by term, without that basis.
+Nor does a principal ideal: its generator, made monic, is its basis.
 
 A run raises ExponentOverflowError when a new element's leading monomial
 passes ``MAX_EXPONENT``, the cap of the polynomials it works on, and
-:func:`reduced_gb` does when an element of its result does, outside an
-elimination.
+:func:`reduced_gb` does when an element of its result does.  An elimination
+drops the elements containing ``t`` unreduced, unchecked.
 
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
@@ -60,6 +65,8 @@ from functools import lru_cache
 from struct import Struct
 
 from .field_poly import (
+    MAX_EXPONENT,
+    EliminationOrder,
     FieldPolyError,
     Monomial,
     Polynomial,
@@ -67,7 +74,6 @@ from .field_poly import (
     ZeroPolynomialError,
     _check_growth,
     _divides,
-    _lcm,
     _same_ring,
 )
 
@@ -139,7 +145,7 @@ class _Packing:
     docs/notes.md, "Packed monomials").
     """
 
-    __slots__ = ("width", "zero", "units", "guards", "offsets", "unpack", "pack")
+    __slots__ = ("width", "zero", "units", "guards", "low", "offsets", "unpack", "pack", "lcm", "divides")
 
     def __init__(self, order, n, width):
         sort_key = order.sort_key(n)
@@ -170,6 +176,13 @@ class _Packing:
         # literals: about twice as fast as summing a map of products
         body = "".join(f" + e[{i}] * {u}" for i, u in enumerate(self.units))
         self.pack = eval(f"lambda e: {self.zero}{body}")
+        # on exponent words ``x & low``: the lcm takes, field by field, a where
+        # (a | G) - b keeps the guard bit (a_i >= b_i), else b; a | b iff no
+        # field of (b | G) - a borrows from its guard bit
+        guards, top, fill = self.guards, width - 1, (1 << width) - 1
+        self.low = (1 << n * width) - 1
+        self.lcm = lambda a, b: b ^ ((a ^ b) & ((((a | guards) - b) & guards) >> top) * fill)
+        self.divides = lambda a, b: ((b | guards) - a) & guards == guards
 
 
 @lru_cache(maxsize=32)
@@ -236,14 +249,6 @@ def _monomial_basis(ring: RingContext, exps, order) -> tuple:
     """The reduced basis of the monomial ideal on ``exps``: its minimal generators, monic, ascending."""
     minimal = sorted(_minimal(exps), key=order.sort_key(ring.n), reverse=True)
     return tuple(Polynomial(ring, {e: 1}) for e in minimal)
-
-
-def _mask(exps) -> int:
-    m = 0
-    for i, e in enumerate(exps):
-        if e:
-            m |= 1 << i
-    return m
 
 
 def _reducer(terms, p) -> tuple:
@@ -354,7 +359,7 @@ def _subtract(coeffs, heap, tail, shift, m, p):
 
 
 def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None):
-    """Run Buchberger to completion; returns a fully reduced basis (kernel form).
+    """Run Buchberger to completion; returns a Groebner basis as reducers, not reduced.
 
     ``sugars`` are the inputs' total degrees.  Pairs are installed by the
     Gebauer-Moeller update, so every pair left in the queue is reduced when
@@ -367,39 +372,31 @@ def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None
     to an extra leading component of its selection key, used to scramble the
     strategy and exercise the uniqueness of the reduced basis.
     """
-    pack, unpack, guards = packing.pack, packing.unpack, packing.guards
+    pack, unpack, guards, low, lcm = packing.pack, packing.unpack, packing.guards, packing.low, packing.lcm
     reducers = []
-    # per element: its leading monomial as a tuple, and the mask of its support
-    lms = []
-    masks = []
-    # per element: its block label, and its sugar minus the degree of its lm
+    # per element: the exponent word of its leading monomial, its block
+    # label, and its sugar minus the degree of its leading monomial
+    words = []
     labels = []
     spare = []
     active = []
     heap = []
 
-    def install(red, lh, sugar, label=None):
-        """Add one element, with leading monomial ``lh``, and update the pair queue and the active set."""
+    def install(red, spare_h, label=None):
+        """Add one element and update the pair queue and the active set."""
         nonlocal heap, active
         h = len(reducers)
-        mh = _mask(lh)
+        wh = red[0] & low
         reducers.append(red)
-        lms.append(lh)
-        masks.append(mh)
+        words.append(wh)
         labels.append(label)
-        spare_h = sugar - sum(lh)
         spare.append(spare_h)
-        # criterion B: drop a queued (i, j) when lm(h) divides lcm(i, j) and
-        # both lcm(i, h) and lcm(j, h) properly divide it
+        # criterion B: drop a queued (i, j) when lm(h) divides lcm(i, j) and both
+        # lcm(i, h) and lcm(j, h) properly divide it (packing.divides, written out)
         kept = []
         for pair in heap:
-            _, i, j, lcm, mask, _ = pair
-            if (
-                mh & ~mask
-                or not _divides(lh, lcm)
-                or _lcm(lms[i], lh) == lcm
-                or _lcm(lms[j], lh) == lcm
-            ):
+            _, i, j, w, _, _ = pair
+            if ((w | guards) - wh) & guards != guards or lcm(words[i], wh) == w or lcm(words[j], wh) == w:
                 kept.append(pair)
         if len(kept) < len(heap):
             heap = kept
@@ -407,45 +404,47 @@ def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None
         # criteria M and F on the new pairs (g, h), as in Gebauer and
         # Moeller: a pair goes when another surviving new pair's lcm divides
         # its own; a pair with a known standard representation (coprime
-        # leading monomials, or both ends in one block) is never dropped
-        # here, so it still removes the pairs it covers, and is itself
-        # dropped afterwards
+        # leading monomials, lcm = product, or both ends in one block) is
+        # never dropped here, so it still removes the pairs it covers, and is
+        # itself dropped afterwards
         new = []
         for g in active:
-            known = not masks[g] & mh or (label is not None and labels[g] == label)
-            new.append((_lcm(lms[g], lh), masks[g] | mh, g, known))
+            w = lcm(words[g], wh)
+            new.append((w, g, w == words[g] + wh or (label is not None and labels[g] == label)))
         alive = [True] * len(new)
-        for a, (lcm, mask, _, known) in enumerate(new):
+        lcms = [w for w, _, _ in new]
+        for a, (w, _, known) in enumerate(new):
             if known:
                 continue
-            for b, (lcm_b, mask_b, _, _) in enumerate(new):
-                if b != a and alive[b] and not mask_b & ~mask and _divides(lcm_b, lcm):
+            w |= guards
+            for b, w_b in enumerate(lcms):
+                if (w - w_b) & guards == guards and b != a and alive[b]:
                     alive[a] = False
                     break
-        for (lcm, mask, g, known), ok in zip(new, alive):
+        for (w, g, known), ok in zip(new, alive):
             if ok and not known:
-                degree = sum(lcm)
-                x = pack(lcm)
+                e = unpack(w)
+                degree = sum(e)
+                x = pack(e)
                 # the sugar of S(g, h): the larger sugar of its two halves;
                 # a larger packed lcm is a smaller one in the order
-                sel = (max(spare[g], spare_h) + degree, degree, -x, g, h)
+                sugar = max(spare[g], spare_h) + degree
+                sel = (sugar, degree, -x, g, h)
                 if pair_noise is not None:
                     sel = (pair_noise((g, h)),) + sel
-                heappush(heap, (sel, g, h, lcm, mask, x))
+                heappush(heap, (sel, g, h, w, x, sugar))
         # an element whose leading monomial lm(h) divides is no longer needed
         # as a reducer or as a partner of later pairs
-        active = [
-            g for g in active if mh & ~masks[g] or not _divides(lh, lms[g])
-        ]
+        active = [g for g in active if ((words[g] | guards) - wh) & guards != guards]
         active.append(h)
 
     for terms, sugar, label in zip(inputs, sugars, blocks or [None] * len(inputs)):
         if terms:
             red = _reducer(terms, p)
-            install(red, unpack(red[0]), sugar, label)
+            install(red, sugar - sum(unpack(red[0])), label)
 
     while heap:
-        _, i, j, lcm, _, x = heappop(heap)
+        _, i, j, _, x, sugar = heappop(heap)
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
@@ -457,31 +456,74 @@ def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None
             # carry them past the cap and drop them again
             _check_growth([lm])
             # a new element inherits the sugar of its pair
-            install(_reducer(r, p), lm, max(spare[i], spare[j]) + sum(lcm))
+            install(_reducer(r, p), sugar - sum(lm))
 
-    kept = [reducers[g] for g in active], [lms[g] for g in active], [masks[g] for g in active]
-    return _autoreduce(*kept, p, guards)
+    return [reducers[g] for g in active]
 
 
-def _autoreduce(reducers, lms, masks, p, guards):
-    """Minimalize and tail-reduce a Groebner basis; sort ascending by lm.
+def _autoreduce(reducers, p, packing):
+    """Minimalize and tail-reduce a Groebner basis given as reducers.
 
-    Takes the basis as reducers, with their leading monomials as tuples and
-    the masks of those, and returns monic kernel polynomials.  The kept
-    reducers serve every element: a leading monomial divides no smaller
-    term, so an element's own reducer never fires on its tail.
+    Returns monic reducers sorted ascending by leading monomial.  Leading
+    monomials are compared as exponent words.  The kept reducers serve every
+    element: a leading monomial divides no smaller term, so an element's own
+    reducer never fires on its tail.
     """
+    divides = packing.divides
+    words = [x & packing.low for x, _ in reducers]
     keep = [
         r
-        for i, (r, lm, mask) in enumerate(zip(reducers, lms, masks))
-        if not any(
-            j != i and not o_mask & ~mask and _divides(o_lm, lm) and (o_lm != lm or j < i)
-            for j, (o_lm, o_mask) in enumerate(zip(lms, masks))
-        )
+        for i, (r, w) in enumerate(zip(reducers, words))
+        if not any(j != i and divides(o, w) and (o != w or j < i) for j, o in enumerate(words))
     ]
-    reduced = [[(x, 1)] + _reduce(*_heap(tail), keep, p, guards) for x, tail in keep]
-    reduced.sort(key=lambda t: t[0][0], reverse=True)
+    reduced = [(x, _reduce(*_heap(tail), keep, p, packing.guards)) for x, tail in keep]
+    reduced.sort(key=lambda r: r[0], reverse=True)
     return reduced
+
+
+def _from_reducers(ring: RingContext, reducers, packing) -> tuple:
+    """Monic polynomials from their reducers."""
+    return tuple(_from_terms(ring, [(x, 1), *tail], packing) for x, tail in reducers)
+
+
+def _completion(gens, order, p, pair_noise=None, blocks=None, eliminate=False):
+    """The packing and the reduced basis, as reducers, of the ideal of ``gens``.
+
+    With ``eliminate``, the run is under an elimination order for the last
+    variable ``t``, and the elements whose leading monomial contains ``t``
+    are dropped before the rest is reduced: a ``t``-free monomial is
+    divisible only by ``t``-free ones, so they need no other reducer (see
+    docs/notes.md, "Colon and intersection bases").
+    """
+    budget = _ACTIVE_BUDGET.get() or Budget()
+    start = budget.pairs
+
+    def run(packing):
+        # a run restarted wider charges its pairs once
+        budget.pairs = start
+        inputs = [_to_terms(g, packing) for g in gens]
+        basis = _buchberger(inputs, [g.degree() for g in gens], packing, p, budget, pair_noise, blocks)
+        if eliminate:
+            t = packing.low ^ (packing.low >> packing.width)
+            basis = [r for r in basis if not r[0] & t]
+        return packing, _autoreduce(basis, p, packing)
+
+    return _widening(order, gens[0].ring.n, run)
+
+
+def _pairless_basis(ring: RingContext, elements, order) -> tuple | None:
+    """The reduced basis of the ideal of ``elements`` when it needs no pair, else None.
+
+    A monomial ideal's minimal generators, or a single element, made monic
+    (a leading monomial divides no smaller term).
+    """
+    monomials = _term_exponents(elements)
+    if monomials is not None:
+        return _monomial_basis(ring, monomials, order)
+    if len(elements) == 1:
+        g = elements[0]
+        return (g.scale(pow(g.leading_coefficient(order), -1, ring.p)),)
+    return None
 
 
 # -- public types -------------------------------------------------------------
@@ -492,15 +534,16 @@ class ReducedGB:
     """The unique reduced Groebner basis of an ideal for a fixed order.
 
     Elements are monic, mutually fully reduced, and sorted by leading
-    monomial ascending.  Their kernel form, the elements as division
-    reducers for this order, is built on first use, once per basis, and
-    serves :func:`member` and :meth:`leading_monomials`.
+    monomial ascending.  Their kernel form, the packing and the elements as
+    division reducers for this order, is kept from the run that made the
+    basis, or else built on first use, once per basis; it serves
+    :func:`member` and :meth:`leading_monomials`.
     """
 
     ring: RingContext
     order: object
     elements: tuple[Polynomial, ...]
-    _kernel: tuple = field(default=None, init=False, compare=False, repr=False)
+    _kernel: tuple = field(default=None, compare=False, repr=False)
 
     def _reducers(self, packing) -> tuple:
         """The packing and the kernel form, built at ``packing`` unless one as wide is kept."""
@@ -509,6 +552,15 @@ class ReducedGB:
             kernel = packing, [_reducer(_to_terms(g, packing), self.ring.p) for g in self.elements]
             object.__setattr__(self, "_kernel", kernel)
         return kernel
+
+    def _bracket_kernel(self, q) -> tuple | None:
+        """The kernel form of ``G^[q]``, mapped from a kept one whose fields hold every exponent within the cap."""
+        if self._kernel is None or self._kernel[0].width <= MAX_EXPONENT.bit_length():
+            return None  # G^[q] packs on first use
+        packing, reducers = self._kernel
+        # packing is linear: X(q*e) = X(0) + q*(X(e) - X(0))
+        base = (1 - q) * packing.zero
+        return packing, [(base + q * x, [(base + q * y, c) for y, c in tail]) for x, tail in reducers]
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         packing, reducers = _widening(self.order, self.ring.n, self._reducers)
@@ -632,44 +684,39 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     return _widening(order, f.ring.n, run)
 
 
-def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None, _blocks=None) -> ReducedGB:
+def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal; cached per order.
 
     Raises ExponentOverflowError when an element passes ``MAX_EXPONENT``.
-    ``_blocks`` is private to the elimination in ``ideal_ops``: labels
-    parallel to the generators, where generators sharing a label other than
-    None are a Groebner basis times one common factor (see ``_buchberger``).
-    Its result is not checked against the cap: an elimination may carry an
-    exponent past it in elements it then drops.
     """
     cached = I._cached_gb(order)
     if cached is not None and _pair_noise is None:
         return cached
-    ring, gens = I.ring, I.generators
-    budget = _ACTIVE_BUDGET.get() or Budget()
-    start = budget.pairs
-
-    def run(packing):
-        # a run restarted wider charges its pairs once
-        budget.pairs = start
-        inputs = [_to_terms(g, packing) for g in gens]
-        sugars = [g.degree() for g in gens]
-        basis = _buchberger(inputs, sugars, packing, ring.p, budget, _pair_noise, _blocks)
-        return tuple(_from_terms(ring, t, packing) for t in basis)
-
-    monomials = _term_exponents(gens)
-    if monomials is not None:
-        # a monomial ideal's minimal generators are its reduced basis
-        elements = _monomial_basis(ring, monomials, order)
-    else:
-        elements = _widening(order, ring.n, run)
-    if _blocks is None:
-        for g in elements:
-            _check_growth(g._coeffs)
-    gb = ReducedGB(ring, order, elements)
+    ring = I.ring
+    elements = _pairless_basis(ring, I.generators, order)
+    kernel = None
+    if elements is None:
+        kernel = _completion(I.generators, order, ring.p, _pair_noise)
+        elements = _from_reducers(ring, kernel[1], kernel[0])
+    for g in elements:
+        _check_growth(g._coeffs)
+    gb = ReducedGB(ring, order, elements, kernel)
     if _pair_noise is None:
         I._store_gb(gb)
     return gb
+
+
+def _eliminate(gens, blocks, order) -> tuple[Polynomial, ...]:
+    """The reduced basis of ``(gens) ∩ S`` for ``order``, for ``gens`` in ``S[t]``.
+
+    ``t`` is the last variable of the ring of ``gens`` and ``S`` its base
+    ring; ``blocks`` labels the inputs as in :func:`_buchberger`.  Elements
+    containing ``t`` are dropped unreduced and unchecked against the cap.
+    """
+    ring = gens[0].ring.base
+    packing, basis = _completion(gens, EliminationOrder(order), ring.p, blocks=blocks, eliminate=True)
+    unpack = packing.unpack
+    return tuple(Polynomial(ring, {unpack(x)[:-1]: c for x, c in [(x, 1), *tail]}) for x, tail in basis)
 
 
 def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentation:
@@ -684,18 +731,10 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
 
     def run(packing):
         reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
-        lms = [packing.unpack(x) for x, _ in reducers]
-        basis = _autoreduce(reducers, lms, list(map(_mask, lms)), ring.p, packing.guards)
-        return tuple(_from_terms(ring, t, packing) for t in basis)
+        return _from_reducers(ring, _autoreduce(reducers, ring.p, packing), packing)
 
-    monomials = _term_exponents(elements)
-    if monomials is not None:
-        basis = _monomial_basis(ring, monomials, order)
-    elif len(elements) == 1:
-        # one element, made monic, is reduced: its leading monomial divides no smaller term
-        g = elements[0]
-        basis = (g.scale(pow(g.leading_coefficient(order), -1, ring.p)),)
-    else:
+    basis = _pairless_basis(ring, elements, order)
+    if basis is None:
         basis = _widening(order, ring.n, run)
     return ReducedGB(ring, order, basis).presentation()
 

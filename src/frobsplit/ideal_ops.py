@@ -32,7 +32,6 @@ from operator import sub
 
 from .field_poly import (
     MAX_EXPONENT,
-    EliminationOrder,
     ExponentOverflowError,
     FieldPolyError,
     Monomial,
@@ -51,6 +50,7 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     ReducedGB,
+    _eliminate,
     _quotient,
     _term_exponents,
     ideals_equal,
@@ -120,18 +120,7 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
         basis = X.generators if known is None else known.elements
         gens += [factor * embed(g, ext) for g in basis]
         blocks += [None if known is None else label] * len(basis)
-    elim = EliminationOrder(order)
-    gb = reduced_gb(IdealPresentation(ext, tuple(gens)), elim, _blocks=blocks)
-    # the t-free part of a reduced elimination basis is the reduced basis of
-    # the intersection for the base order; an element is t-free iff its
-    # leading monomial is, so in the ascending basis those elements come first
-    kept = []
-    for g in gb.elements:
-        terms = g.terms_dict()
-        if any(e[-1] for e in terms):
-            break
-        kept.append(Polynomial(ring, {e[:-1]: c for e, c in terms.items()}))
-    return ReducedGB(ring, order, tuple(kept)).presentation()
+    return ReducedGB(ring, order, _eliminate(gens, blocks, order)).presentation()
 
 
 def intersect_all(ideals, order) -> IdealPresentation:
@@ -245,9 +234,10 @@ def _bracket_basis(G: ReducedGB, e: int) -> ReducedGB:
     """``G^[q]`` for ``q = p^e``, the reduced basis of ``I^[q]`` when G is that of I.
 
     No pair is formed (see docs/notes.md); raises ExponentOverflowError when
-    an element passes the cap.
+    an element passes the cap, and otherwise keeps G's kernel form, mapped.
     """
-    return ReducedGB(G.ring, G.order, tuple(frobenius_power_poly(g, e) for g in G))
+    elements = tuple(frobenius_power_poly(g, e) for g in G)
+    return ReducedGB(G.ring, G.order, elements, G._bracket_kernel(G.ring.p**e))
 
 
 def bracket_power(I: IdealPresentation, e: int) -> IdealPresentation:

@@ -49,6 +49,34 @@ def test_kernel_key_reverses_the_order_and_is_additive():
         fp.weight_order((1, 1)).sort_key(3)
 
 
+@pytest.mark.parametrize("width", [16, 64])
+def test_packed_lcm_and_divisibility_match_the_tuple_helpers(width):
+    # the pair criteria's lcm, divisibility and coprimality on exponent words
+    # against _lcm and _divides, with exponents at 0 and at the largest value
+    # a field holds with its guard bit clear
+    rng = random.Random(width)
+    top = 2 ** (width - 1) - 1
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        packing = gb._packing(random_order(rng, n), n, width)
+        a = tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n))
+        b = rng.choice([
+            tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n)),
+            tuple(rng.randint(x, top) for x in a),
+            a,
+        ])
+        wa, wb = (packing.pack(e) & packing.low for e in (a, b))
+        lcm = packing.lcm(wa, wb)
+        assert packing.unpack(lcm) == fp._lcm(a, b) and lcm == packing.lcm(wb, wa)
+        coprime = not any(map(min, a, b))
+        assert (lcm == wa + wb) == coprime
+        for x, y, wx, wy in ((a, b, wa, wb), (b, a, wb, wa)):
+            assert packing.divides(wx, wy) == fp._divides(x, y)
+            seen.add((fp._divides(x, y), coprime))
+    assert len(seen) == 4
+
+
 def test_spair_in_the_heap_matches_oracle_s_polynomial():
     # the kernel forms an S-pair as the first step of its reduction; drained
     # against no reducers it must be the S-polynomial of Polynomial arithmetic.
@@ -182,9 +210,10 @@ def test_member_of_a_monomial_ideal_matches_normal_form():
 
 
 def test_member_builds_the_kernel_form_of_a_basis_once(monkeypatch):
-    # a basis converts its elements to kernel form on first use only, whether
-    # reduced_gb made it or bracket_power (here I^[p]); every later member
-    # call converts just f
+    # a basis made by reduced_gb keeps the kernel form of its run, and
+    # bracket_power (here I^[p]) maps that form to its own, so member converts
+    # only f from the first call on; a basis wrapped by presentation_from_gb
+    # converts its elements on first use only
     converted = []
     to_terms = gb._to_terms
     monkeypatch.setattr(gb, "_to_terms", lambda f, nkey: converted.append(f) or to_terms(f, nkey))
@@ -195,12 +224,17 @@ def test_member_builds_the_kernel_form_of_a_basis_once(monkeypatch):
     G = gb.reduced_gb(I, o)
     P = ops.bracket_power(I, 1)
     H = P._cached_gb(o)
+    # the mapped form is the one packing G^[p] afresh would build
+    packing, reducers = H._kernel
+    assert reducers == [gb._reducer(to_terms(g, packing), R.p) for g in H.elements]
+    W = gb.presentation_from_gb(R, G.elements, o)
+    K = W._cached_gb(o)
+    assert K._kernel is None and K.elements == G.elements
     carriers = [g * random_polynomial(rng, R, 2, max_terms=3) for g in G.elements + H.elements]
     carriers += [random_polynomial(rng, R, 6, max_terms=4) for _ in range(20)]
     nonzero = sum(1 for f in carriers if f)
-    for ideal_, basis in ((I, G), (P, H)):
-        assert basis._kernel is None
-        for built in (len(basis), 0):
+    for ideal_, basis, first in ((I, G, 0), (P, H, 0), (W, K, len(K))):
+        for built in (first, 0):
             del converted[:]
             got = [gb.member(f, ideal_, o) for f in carriers]
             assert len(converted) == built + nonzero
@@ -255,22 +289,38 @@ def _selection_cases():
 
 def test_gb_determinism_under_randomized_selection():
     # the reduced basis is unique, so scrambling pair selection changes nothing
+    _check_scrambled_selection()
+
+
+def test_gb_determinism_under_randomized_selection_at_16_bits(monkeypatch):
+    # the criteria read packed words, so scrambled runs at 16-bit fields end
+    # in the bases of unscrambled runs at the default width
+    _check_scrambled_selection(monkeypatch)
+
+
+def _check_scrambled_selection(monkeypatch=None):
+    """Scrambled runs against references at the default width; narrowed first when given a monkeypatch."""
     rng = random.Random(99)
-    for R, gens in _selection_cases():
-        for o in [fp.grevlex(), fp.lex()]:
-            reference = gb.reduced_gb(gb.ideal(R, gens), o)
-            for _ in range(6):
-                noise = {}
+    cases = [
+        (R, gens, o, gb.reduced_gb(gb.ideal(R, gens), o))
+        for R, gens in _selection_cases()
+        for o in [fp.grevlex(), fp.lex()]
+    ]
+    if monkeypatch is not None:
+        _narrow_fields(monkeypatch)
+    for R, gens, o, reference in cases:
+        for _ in range(6):
+            noise = {}
 
-                def pair_noise(pair, noise=noise):
-                    if pair not in noise:
-                        noise[pair] = rng.random()
-                    return noise[pair]
+            def pair_noise(pair, noise=noise):
+                if pair not in noise:
+                    noise[pair] = rng.random()
+                return noise[pair]
 
-                again = gb.reduced_gb(gb.ideal(R, gens), o, _pair_noise=pair_noise)
-                assert again.elements == reference.elements
-                texts = [g.text(o) for g in again.elements]
-                assert texts == [g.text(o) for g in reference.elements]
+            again = gb.reduced_gb(gb.ideal(R, gens), o, _pair_noise=pair_noise)
+            assert again.elements == reference.elements
+            texts = [g.text(o) for g in again.elements]
+            assert texts == [g.text(o) for g in reference.elements]
 
 
 def test_presentation_from_gb_matches_reduced_gb():
@@ -331,14 +381,20 @@ def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fixture, pairs, elimination_pairs",
-    [("minors_2x3.prob", 84, 82), ("pentagon_edge.prob", 1684, 1664)],
-    ids=["minors_2x3.prob", "pentagon_edge.prob"],
+    "fixture, pairs, elimination_pairs, narrow",
+    [
+        pytest.param(fixture, pairs, elimination_pairs, narrow, id=fixture + ("-16bit" if narrow else ""))
+        for fixture, pairs, elimination_pairs in [("minors_2x3.prob", 84, 82), ("pentagon_edge.prob", 1684, 1664)]
+        for narrow in (False, True)
+    ],
 )
-def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs):
+def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs, narrow, monkeypatch):
     # deterministic regression signal for the pair criteria: S-pairs that
     # survive the criteria and are reduced, summed over every kernel run of
-    # what the fsplit command computes
+    # what the fsplit command computes; the criteria read packed words, so
+    # the count must not depend on the field width
+    if narrow:
+        _narrow_fields(monkeypatch)
     pf = cli.parse_problem((FIXTURES / fixture).read_text())
     I = pf.ideal(None)[1]
     with gb.Budget() as budget:
@@ -421,16 +477,53 @@ def test_kernel_keeps_the_exponent_cap():
 def test_reduced_gb_checks_the_cap_on_its_result():
     # under lex, tail reduction alone carries z - x^3 to z - y^(3k): no new
     # leading monomial passes MAX_EXPONENT, the result does.  An elimination
-    # (any _blocks) may carry such a tail and drop it, so its result is not
-    # checked
+    # drops the elements that contain t unreduced, so the same pair with
+    # t for z, under the elimination order, leaves x - y^k alone
     R = fp.ring_new(3, ["z", "x", "y"])
     gens = [R.parse("z - x^3"), R.parse("x - y^1000000000")]
     I = gb.ideal(R, gens)
     with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
         gb.reduced_gb(I, fp.lex())
     assert I._cached_gb(fp.lex()) is None
-    G = gb.reduced_gb(gb.ideal(R, gens), fp.lex(), _blocks=[None, None])
-    assert [g.text(fp.lex()) for g in G] == ["x + 2*y^1000000000", "z + 2*y^3000000000"]
+    ext = fp.ring_new(3, ["x", "y"]).extend()
+    gens = [ext.parse("t - x^3"), ext.parse("x - y^1000000000")]
+    with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
+        gb.reduced_gb(gb.ideal(ext, gens), fp.EliminationOrder(fp.lex()))
+    assert [g.text(fp.lex()) for g in gb._eliminate(gens, [None, None], fp.lex())] == ["x + 2*y^1000000000"]
+
+
+def test_eliminate_is_the_t_free_part_of_the_elimination_basis():
+    # _eliminate drops the elements whose leading monomial contains t before
+    # it reduces the rest; the t-free elements of the reduced basis under the
+    # elimination order are the same set.  Half the cases enter two reduced
+    # bases as blocks, times t and 1 - t, as intersect does
+    rng = random.Random(3030)
+    dropped = 0
+    for _ in range(80):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 3)
+        R = fp.ring_new(p, [f"x{i}" for i in range(n)])
+        ext = R.extend()
+        o = random_order(rng, n)
+        if rng.random() < 0.5:
+            gens = [g for g in (random_polynomial(rng, ext, 2, max_terms=3) for _ in range(rng.randint(1, 3))) if g]
+            blocks = [None] * len(gens)
+        else:
+            t = ext.variable(n)
+            gens, blocks = [], []
+            for label, factor in enumerate((t, ext.one() - t)):
+                G = gb.reduced_gb(gb.ideal(R, [random_polynomial(rng, R, 2, max_terms=3) for _ in range(2)]), o)
+                gens += [factor * ops.embed(g, ext) for g in G]
+                blocks += [label] * len(G)
+        if not gens:
+            continue
+        elim = fp.EliminationOrder(o)
+        E = gb.reduced_gb(gb.ideal(ext, gens), elim).elements
+        kept = [g for g in E if not g.leading_monomial(elim).exponents[-1]]
+        expected = tuple(R.polynomial({e[:-1]: c for e, c in g.terms_dict().items()}) for g in kept)
+        assert gb._eliminate(gens, blocks, o) == expected
+        dropped += 0 < len(kept) < len(E)
+    assert dropped > 20
 
 
 def _narrow_fields(monkeypatch):
@@ -478,12 +571,19 @@ def test_every_kernel_entry_widens_its_fields(monkeypatch):
     h = R.parse("x^2 - y")
     inside, outside = h * R.parse(f"y^{a} + x"), R.parse(f"x*y^{a} + y")
     basis = [R.parse(f"x - y^{a}"), R.parse(f"y^{a + 1} - y")]
-    # each case, with the widths it packs at: member's reduced_gb runs at 16
+    ext = R.extend()
+    t = ext.variable(2)
+    eliminated = [t * ops.embed(h, ext), (ext.one() - t) * ops.embed(basis[0], ext)]
+    # each case, with the widths it packs at: the run of reduced_gb on (h, x*h)
+    # packs at 16 and keeps that form, which member rebuilds at 32; the
+    # principal (h) needs no run, so member packs it first
     cases = {
-        "member": (lambda: [gb.member(f, gb.ideal(R, [h]), o) for f in (inside, outside)], [16, 16, 32] * 2),
+        "member": (lambda: [gb.member(f, gb.ideal(R, [h, R.parse("x") * h]), o) for f in (inside, outside)], [16, 16, 32] * 2),
+        "member, principal": (lambda: [gb.member(f, gb.ideal(R, [h]), o) for f in (inside, outside)], [16, 32] * 2),
         "normal_form": (lambda: gb.normal_form(outside, [h], o), [16, 32]),
         "presentation_from_gb": (lambda: gb.presentation_from_gb(R, basis, o).generators, [16, 32]),
         "_quotient": (lambda: gb._quotient(inside, h, o), [16, 32]),
+        "_eliminate": (lambda: gb._eliminate(eliminated, [None, None], o), [16, 32]),
     }
     expected = {name: case() for name, (case, _) in cases.items()}
     assert expected["member"] == [True, False]
@@ -493,7 +593,7 @@ def test_every_kernel_entry_widens_its_fields(monkeypatch):
         assert case() == expected[name], name
         assert widths == used, name
     # the kernel form is rebuilt wider, never narrower
-    I = gb.ideal(R, [h])
+    I = gb.ideal(R, [h, R.parse("x") * h])
     assert gb.member(inside, I, o) and not gb.member(R.parse("x"), I, o)
     assert gb.reduced_gb(I, o)._kernel[0].width == 32
 
