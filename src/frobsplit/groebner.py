@@ -16,10 +16,12 @@ one heap pop plus one shifted merge of the reducer tail.  An S-pair is the
 first step of its own reduction: the shifted tail of one element seeds the
 heap and the other element is subtracted from it like any reducer.
 
-A run starts with 64-bit exponent fields.  When an input exponent, or any
-term the run forms, sets a guard bit, the run restarts from its inputs with
-fields twice as wide, and the pairs it popped are not charged twice.  A
-basis made by a run keeps that run's kernel form.
+Exponent fields are 64 bits wide, one packing per order and ring size.
+Every exponent within ``MAX_EXPONENT`` fits below its guard bit, and every
+term a run forms fits its field, so a term that leaves the heap with a set
+guard bit has an exponent of at least ``2^63`` and raises
+ExponentOverflowError (see docs/notes.md, "Field width").  A basis made by
+a run keeps that run's kernel form.
 
 Pairs are filtered when they are created, by the installation of Gebauer
 and Moeller, on the exponent words of leading monomials: the lcm of two is
@@ -46,9 +48,11 @@ decides membership in it by divisibility, term by term, without that basis.
 Nor does a principal ideal: its generator, made monic, is its basis.
 
 A run raises ExponentOverflowError when a new element's leading monomial
-passes ``MAX_EXPONENT``, the cap of the polynomials it works on, and
-:func:`reduced_gb` does when an element of its result does.  An elimination
-drops the elements containing ``t`` unreduced, unchecked.
+passes ``MAX_EXPONENT``, the cap of the polynomials it works on; and
+:func:`reduced_gb`, :func:`normal_form` and :func:`presentation_from_gb` do
+when an element of their result does.  An elimination drops the elements
+containing ``t`` unreduced, unchecked, and leaves the check of the rest to
+its caller.
 
 Every popped pair is charged to the active :class:`Budget`.  Inside
 ``with Budget(n):`` all runs in the block draw from one count, so a chain of
@@ -65,7 +69,6 @@ from functools import lru_cache
 from struct import Struct
 
 from .field_poly import (
-    MAX_EXPONENT,
     EliminationOrder,
     FieldPolyError,
     Monomial,
@@ -122,38 +125,34 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", defau
 # A kernel polynomial is a list of (x, coeff) sorted ascending by x, where x is
 # the packed monomial of a _Packing: the leading term comes first.
 
-# exponent field width a run starts from; it doubles while a term passes it.
-# Narrower fields run faster still (16 bits: about 13% less certify CPU than
-# 64), but the benchmark's peak_rss_mb then reads the extra jobs a run
-# completes as a memory regression; see ROADMAP item 1
+# bits per exponent field: every exponent within MAX_EXPONENT sits below the
+# guard bit.  Narrower fields run faster (16 bits: about 13% less certify CPU),
+# but need a width choice and a restart when a term passes them; see ROADMAP
+# items 1 and 3
 _WIDTH = 64
 
 
-class _Widen(Exception):
-    """A term of a run passed its packing's exponent fields; the run restarts wider."""
-
-
 class _Packing:
-    """The monomials of one order on n variables as integers, ``width`` bits per exponent.
+    """The monomials of one order on n variables as integers, ``_WIDTH`` bits per exponent.
 
     ``pack(e)`` is ``zero + sum(e_i * units[i])``.  At the top it holds the
     order's ``sort_key`` vector, most significant component first, one biased
-    field per component; below, one ``width``-bit field per exponent, whose
-    top bit (in ``guards``) is clear while the exponent is below
-    ``2^(width - 1)``.  So integers sort like the order's ``sort_key``, a
-    product is a sum less ``zero``, and a shift is one addition (see
-    docs/notes.md, "Packed monomials").
+    field per component; below, one ``_WIDTH``-bit field per exponent, whose
+    top bit (in ``guards``) is clear while the exponent is below ``2^63``.
+    So integers sort like the order's ``sort_key``, a product is a sum less
+    ``zero``, and a shift is one addition (see docs/notes.md, "Packed
+    monomials").
     """
 
-    __slots__ = ("width", "zero", "units", "guards", "low", "offsets", "unpack", "pack", "lcm", "divides")
+    __slots__ = ("zero", "units", "guards", "low", "unpack", "pack", "lcm", "divides")
 
-    def __init__(self, order, n, width):
+    def __init__(self, order, n):
         sort_key = order.sort_key(n)
         unit_keys = [sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
-        self.width = width
-        self.offsets = range(0, n * width, width)
-        self.guards = sum(1 << (s + width - 1) for s in self.offsets)
-        self.units = [1 << s for s in self.offsets]
+        width = _WIDTH
+        offsets = range(0, n * width, width)
+        self.guards = sum(1 << (s + width - 1) for s in offsets)
+        self.units = [1 << s for s in offsets]
         self.zero = 0
         shift = n * width
         for column in reversed(list(zip(*unit_keys))):
@@ -162,16 +161,11 @@ class _Packing:
             self.zero += bound << (shift + width)
             self.units = [u + (k << shift) for u, k in zip(self.units, column)]
             shift += width + 1 + bound.bit_length()
-        # ``unpack(x)`` reads the exponent fields back: with one struct of
-        # unsigned integers off the low bytes of x, where the width has one
-        code = {16: "H", 32: "I", 64: "Q"}.get(width)
-        if code:
-            nbytes = (shift + 7) // 8
-            fields = Struct(f"<{n}{code}{nbytes - n * width // 8}x")
-            self.unpack = lambda x: fields.unpack(x.to_bytes(nbytes, "little"))
-        else:
-            mask = (1 << width) - 1
-            self.unpack = lambda x: tuple([(x >> s) & mask for s in self.offsets])
+        # ``unpack(x)`` reads the exponent fields back with one struct of
+        # unsigned 64-bit integers off the low bytes of x
+        nbytes = (shift + 7) // 8
+        fields = Struct(f"<{n}Q{nbytes - n * 8}x")
+        self.unpack = lambda x: fields.unpack(x.to_bytes(nbytes, "little"))
         # ``pack(e)`` written out for the n variables, as a lambda of integer
         # literals: about twice as fast as summing a map of products
         body = "".join(f" + e[{i}] * {u}" for i, u in enumerate(self.units))
@@ -186,26 +180,20 @@ class _Packing:
 
 
 @lru_cache(maxsize=32)
-def _packing(order, n, width) -> _Packing:
-    return _Packing(order, n, width)
-
-
-def _widening(order, n, run):
-    """``run(packing)``, from the initial width, doubled while a term passes its fields."""
-    width = _WIDTH
-    while True:
-        try:
-            return run(_packing(order, n, width))
-        except _Widen:
-            width *= 2
+def _packing(order, n) -> _Packing:
+    return _Packing(order, n)
 
 
 def _to_terms(f: Polynomial, packing):
-    """f in kernel form; raises :class:`_Widen` when an exponent passes the fields."""
+    """f in kernel form; its exponents, within the cap or formed by a run, sit below the guard bits."""
     coeffs = f._coeffs
-    if coeffs and max(map(max, coeffs)) >> (packing.width - 1):
-        raise _Widen
     return sorted(zip(map(packing.pack, coeffs), coeffs.values()))
+
+
+def _check_cap(elements) -> None:
+    """Raise ExponentOverflowError when an exponent of one of the polynomials passes MAX_EXPONENT."""
+    for g in elements:
+        _check_growth(g._coeffs)
 
 
 def _from_terms(ring: RingContext, terms, packing) -> Polynomial:
@@ -284,15 +272,16 @@ def _spair(ra, rb, lcm, p):
     return coeffs, heap
 
 
-def _reduce(coeffs, heap, reducers, p, guards):
+def _reduce(coeffs, heap, reducers, p, packing):
     """Full normal form of the active terms against a reducer list.
 
     The active terms come from :func:`_heap`, or from :func:`_spair`, which
     makes an S-pair the first step of its reduction.  Scans reducers in list
     order for the first whose leading monomial divides the current maximal
     term; terms with no divisor move to the remainder.  A term that sets a
-    guard bit raises :class:`_Widen`.
+    guard bit raises ExponentOverflowError.
     """
+    guards = packing.guards
     remainder = []
     while heap:
         x = heappop(heap)
@@ -300,7 +289,8 @@ def _reduce(coeffs, heap, reducers, p, guards):
         if not c:
             continue
         if x & guards:
-            raise _Widen
+            # a set guard bit is an exponent of at least 2^63
+            _check_growth([packing.unpack(x)])
         # lm | x iff no field of (x | guards) - lm borrows from its guard bit
         xg = x | guards
         for lm, tail in reducers:
@@ -312,7 +302,7 @@ def _reduce(coeffs, heap, reducers, p, guards):
     return remainder
 
 
-def _divide(coeffs, heap, red, p, guards):
+def _divide(coeffs, heap, red, p, packing):
     """Exact quotient of the active terms by one reducer, or None.
 
     The heap pass of :func:`_reduce` with a single reducer: the leading
@@ -321,6 +311,7 @@ def _divide(coeffs, heap, red, p, guards):
     as ``(shift, coefficient)`` pairs, each shift a packed monomial less
     ``zero``.
     """
+    guards = packing.guards
     quotient = []
     lm, tail = red
     while heap:
@@ -329,7 +320,8 @@ def _divide(coeffs, heap, red, p, guards):
         if not c:
             continue
         if x & guards:
-            raise _Widen
+            # a set guard bit is an exponent of at least 2^63
+            _check_growth([packing.unpack(x)])
         if ((x | guards) - lm) & guards != guards:
             return None
         _subtract(coeffs, heap, tail, x - lm, p - c, p)
@@ -448,7 +440,7 @@ def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None
         budget.pairs += 1
         if budget.pairs > budget.max_pairs:
             raise ResourceLimitError(f"pair budget of {budget.max_pairs} exceeded", budget.pairs)
-        r = _reduce(*_spair(reducers[i], reducers[j], x, p), [reducers[g] for g in active], p, guards)
+        r = _reduce(*_spair(reducers[i], reducers[j], x, p), [reducers[g] for g in active], p, packing)
         if r:
             lm = unpack(r[0][0])
             # the cap holds for every new leading monomial, one check per
@@ -476,7 +468,7 @@ def _autoreduce(reducers, p, packing):
         for i, (r, w) in enumerate(zip(reducers, words))
         if not any(j != i and divides(o, w) and (o != w or j < i) for j, o in enumerate(words))
     ]
-    reduced = [(x, _reduce(*_heap(tail), keep, p, packing.guards)) for x, tail in keep]
+    reduced = [(x, _reduce(*_heap(tail), keep, p, packing)) for x, tail in keep]
     reduced.sort(key=lambda r: r[0], reverse=True)
     return reduced
 
@@ -495,20 +487,14 @@ def _completion(gens, order, p, pair_noise=None, blocks=None, eliminate=False):
     divisible only by ``t``-free ones, so they need no other reducer (see
     docs/notes.md, "Colon and intersection bases").
     """
+    packing = _packing(order, gens[0].ring.n)
     budget = _ACTIVE_BUDGET.get() or Budget()
-    start = budget.pairs
-
-    def run(packing):
-        # a run restarted wider charges its pairs once
-        budget.pairs = start
-        inputs = [_to_terms(g, packing) for g in gens]
-        basis = _buchberger(inputs, [g.degree() for g in gens], packing, p, budget, pair_noise, blocks)
-        if eliminate:
-            t = packing.low ^ (packing.low >> packing.width)
-            basis = [r for r in basis if not r[0] & t]
-        return packing, _autoreduce(basis, p, packing)
-
-    return _widening(order, gens[0].ring.n, run)
+    inputs = [_to_terms(g, packing) for g in gens]
+    basis = _buchberger(inputs, [g.degree() for g in gens], packing, p, budget, pair_noise, blocks)
+    if eliminate:
+        t = packing.low ^ (packing.low >> _WIDTH)
+        basis = [r for r in basis if not r[0] & t]
+    return packing, _autoreduce(basis, p, packing)
 
 
 def _pairless_basis(ring: RingContext, elements, order) -> tuple | None:
@@ -536,8 +522,9 @@ class ReducedGB:
     Elements are monic, mutually fully reduced, and sorted by leading
     monomial ascending.  Their kernel form, the packing and the elements as
     division reducers for this order, is kept from the run that made the
-    basis, or else built on first use, once per basis; it serves
-    :func:`member` and :meth:`leading_monomials`.
+    basis, or mapped from that of the basis it is a bracket power of, or
+    else built on first use, once per basis; it serves :func:`member` and
+    :meth:`leading_monomials`.
     """
 
     ring: RingContext
@@ -545,17 +532,17 @@ class ReducedGB:
     elements: tuple[Polynomial, ...]
     _kernel: tuple = field(default=None, compare=False, repr=False)
 
-    def _reducers(self, packing) -> tuple:
-        """The packing and the kernel form, built at ``packing`` unless one as wide is kept."""
-        kernel = self._kernel
-        if kernel is None or kernel[0].width < packing.width:
+    def _reducers(self) -> tuple:
+        """The packing and the kernel form, built unless kept."""
+        if self._kernel is None:
+            packing = _packing(self.order, self.ring.n)
             kernel = packing, [_reducer(_to_terms(g, packing), self.ring.p) for g in self.elements]
             object.__setattr__(self, "_kernel", kernel)
-        return kernel
+        return self._kernel
 
     def _bracket_kernel(self, q) -> tuple | None:
-        """The kernel form of ``G^[q]``, mapped from a kept one whose fields hold every exponent within the cap."""
-        if self._kernel is None or self._kernel[0].width <= MAX_EXPONENT.bit_length():
+        """The kernel form of ``G^[q]`` when every exponent of it is within the cap, mapped from a kept one."""
+        if self._kernel is None:
             return None  # G^[q] packs on first use
         packing, reducers = self._kernel
         # packing is linear: X(q*e) = X(0) + q*(X(e) - X(0))
@@ -563,7 +550,7 @@ class ReducedGB:
         return packing, [(base + q * x, [(base + q * y, c) for y, c in tail]) for x, tail in reducers]
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        packing, reducers = _widening(self.order, self.ring.n, self._reducers)
+        packing, reducers = self._reducers()
         return tuple(Monomial(self.ring, packing.unpack(x)) for x, _ in reducers)
 
     def presentation(self) -> "IdealPresentation":
@@ -666,7 +653,10 @@ def ideal(ring: RingContext, generators) -> IdealPresentation:
 
 
 def normal_form(f: Polynomial, basis, order) -> Polynomial:
-    """Remainder of multivariate division of f by the listed polynomials."""
+    """Remainder of multivariate division of f by the listed polynomials.
+
+    Raises ExponentOverflowError when the remainder passes ``MAX_EXPONENT``.
+    """
     basis = list(basis)
     for g in basis:
         if not g:
@@ -675,13 +665,11 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     if not f:
         return f
     p = f.ring.p
-
-    def run(packing):
-        reducers = [_reducer(_to_terms(g, packing), p) for g in basis]
-        r = _reduce(*_heap(_to_terms(f, packing)), reducers, p, packing.guards)
-        return _from_terms(f.ring, r, packing)
-
-    return _widening(order, f.ring.n, run)
+    packing = _packing(order, f.ring.n)
+    reducers = [_reducer(_to_terms(g, packing), p) for g in basis]
+    r = _from_terms(f.ring, _reduce(*_heap(_to_terms(f, packing)), reducers, p, packing), packing)
+    _check_cap([r])
+    return r
 
 
 def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
@@ -698,8 +686,7 @@ def reduced_gb(I: IdealPresentation, order, *, _pair_noise=None) -> ReducedGB:
     if elements is None:
         kernel = _completion(I.generators, order, ring.p, _pair_noise)
         elements = _from_reducers(ring, kernel[1], kernel[0])
-    for g in elements:
-        _check_growth(g._coeffs)
+    _check_cap(elements)
     gb = ReducedGB(ring, order, elements, kernel)
     if _pair_noise is None:
         I._store_gb(gb)
@@ -711,7 +698,8 @@ def _eliminate(gens, blocks, order) -> tuple[Polynomial, ...]:
 
     ``t`` is the last variable of the ring of ``gens`` and ``S`` its base
     ring; ``blocks`` labels the inputs as in :func:`_buchberger`.  Elements
-    containing ``t`` are dropped unreduced and unchecked against the cap.
+    containing ``t`` are dropped unreduced; no element is checked against
+    the cap.
     """
     ring = gens[0].ring.base
     packing, basis = _completion(gens, EliminationOrder(order), ring.p, blocks=blocks, eliminate=True)
@@ -725,17 +713,16 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     Minimalizes and tail-reduces without pair processing (sound because the
     input is a basis), then caches the reduced result.  Callers are
     responsible for the basis property; the test suite re-checks it on
-    fixtures via the S-pair criterion.
+    fixtures via the S-pair criterion.  Raises ExponentOverflowError when
+    an element of the result passes ``MAX_EXPONENT``.
     """
     elements = [g for g in elements if g]
-
-    def run(packing):
-        reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
-        return _from_reducers(ring, _autoreduce(reducers, ring.p, packing), packing)
-
     basis = _pairless_basis(ring, elements, order)
     if basis is None:
-        basis = _widening(order, ring.n, run)
+        packing = _packing(order, ring.n)
+        reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
+        basis = _from_reducers(ring, _autoreduce(reducers, ring.p, packing), packing)
+    _check_cap(basis)
     return ReducedGB(ring, order, basis).presentation()
 
 
@@ -743,17 +730,14 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     """g / f when the nonzero f divides g, else None."""
     _same_ring(f.ring, g.ring)
     p = g.ring.p
-
-    def run(packing):
-        f_terms = _to_terms(f, packing)
-        q = _divide(*_heap(_to_terms(g, packing)), _reducer(f_terms, p), p, packing.guards)
-        if q is None:
-            return None
-        # the kernel divided by the monic f / lc(f)
-        inv = pow(f_terms[0][1], -1, p)
-        return _from_terms(g.ring, [(s + packing.zero, (c * inv) % p) for s, c in q], packing)
-
-    return _widening(order, g.ring.n, run)
+    packing = _packing(order, g.ring.n)
+    f_terms = _to_terms(f, packing)
+    q = _divide(*_heap(_to_terms(g, packing)), _reducer(f_terms, p), p, packing)
+    if q is None:
+        return None
+    # the kernel divided by the monic f / lc(f)
+    inv = pow(f_terms[0][1], -1, p)
+    return _from_terms(g.ring, [(s + packing.zero, (c * inv) % p) for s, c in q], packing)
 
 
 def initial_ideal(I: IdealPresentation, order) -> MonomialIdeal:
@@ -774,13 +758,8 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     monomials = _term_exponents(I.generators)
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
-    G = reduced_gb(I, order)
-
-    def run(packing):
-        packing, reducers = G._reducers(packing)
-        return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing.guards)
-
-    return _widening(order, f.ring.n, run)
+    packing, reducers = reduced_gb(I, order)._reducers()
+    return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing)
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:

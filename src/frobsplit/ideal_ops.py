@@ -12,7 +12,8 @@ basis, and the kernel forms no pair inside it.  Intersections of several
 ideals go pairwise in a balanced tree.  Colons divide the generators of
 ``I ∩ (f)`` exactly by ``f``; that quotient set is again a Groebner basis,
 so colon and intersection results come back with their reduced basis
-pre-cached.  A principal colon ``(h) : f`` with ``f``
+pre-cached, each element checked against ``MAX_EXPONENT``; the ``I ∩ (f)``
+inside a colon is not checked, as only its quotients leave.  A principal colon ``(h) : f`` with ``f``
 dividing ``h`` is ``(h/f)``, and ``I : f`` with ``f`` in ``I`` is ``(1)``;
 both skip the intersection.  A bracket power ``I^[q]`` inherits the reduced
 bases cached on ``I``, raised to the ``q``-th power.  Saturation iterates the
@@ -50,6 +51,7 @@ from .groebner import (
     IdealPresentation,
     MonomialIdeal,
     ReducedGB,
+    _check_cap,
     _eliminate,
     _quotient,
     _term_exponents,
@@ -96,7 +98,8 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
     """The reduced basis of A ∩ B, as generators with the basis cached.
 
     ``(1) ∩ B = B``; two monomial ideals meet in the pairwise lcms of their
-    generators; otherwise an auxiliary variable is eliminated.
+    generators; otherwise an auxiliary variable is eliminated.  Raises
+    ExponentOverflowError when an element passes ``MAX_EXPONENT``.
     """
     _same_ring(A.ring, B.ring)
     ring = A.ring
@@ -110,6 +113,14 @@ def intersect(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresent
     if mono_a is not None and mono_b is not None:
         # (a) ∩ (b) = (lcm(a, b)), summed over the generators
         return _monomials(ring, [_lcm(a, b) for a in mono_a for b in mono_b], order)
+    meet = _eliminated_meet(A, B, order)
+    _check_cap(meet.generators)
+    return meet
+
+
+def _eliminated_meet(A: IdealPresentation, B: IdealPresentation, order) -> IdealPresentation:
+    """A ∩ B by eliminating t from ``t*A + (1-t)*B``; its elements may pass ``MAX_EXPONENT``."""
+    ring = A.ring
     ext = ring.extend()
     t = ext.variable(ext.n - 1)
     gens, blocks = [], []
@@ -171,7 +182,9 @@ def colon(I: IdealPresentation, f: Polynomial, order) -> IdealPresentation:
     # the intersection below starts from
     if member(f, I, order):
         return presentation_from_gb(ring, [ring.one()], order)
-    meet = intersect(I, IdealPresentation(ring, (f,)), order)
+    # neither I nor (f) is (1) or a monomial ideal with the other, so this is
+    # the elimination of intersect; I ∩ (f) may pass the cap where I : f does not
+    meet = _eliminated_meet(I, IdealPresentation(ring, (f,)), order)
     divided = [exact_divide(g, f, order) for g in meet.generators]
     # quotients of a Groebner basis of I ∩ (f) by f form a Groebner basis of I : f
     return presentation_from_gb(ring, divided, order)

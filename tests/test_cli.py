@@ -445,6 +445,23 @@ def test_gb_past_the_cap_by_tail_reduction_exits_2(tmp_path):
     }
 
 
+def test_results_past_the_cap_exit_2(tmp_path):
+    # over F_3, lex: a^40000 modulo (a - b^65536) is b^2621440000, and
+    # (x - y^k) ∩ (x + y^k) for k = 1,500,000,000 is (x^2 - y^(2k)); neither
+    # text would parse back, so neither is printed
+    cases = [
+        ("ideal I: a - b^65536;\n", "a,b", ["nf", "--poly", "a^40000"], 2621440000),
+        ("ideal A: x - y^1500000000;\nideal B: x + y^1500000000;\n", "x,y", ["intersect"], 3000000000),
+    ]
+    for ideals, names, (command, *args), top in cases:
+        prob = tmp_path / f"{command}.prob"
+        prob.write_text(f"ring: p=3; vars={names}\norder: lex\n{ideals}")
+        code, payload = run_json([command, str(prob), *args])
+        assert code == 2 and payload["error"] == {
+            "type": "ExponentOverflowError", "message": f"exponent {top} exceeds MAX_EXPONENT"
+        }
+
+
 def test_error_exit_codes(tmp_path):
     code, out, err = run_cli(["gb", str(tmp_path / "missing.prob")])
     assert code == 2 and "error:" in err

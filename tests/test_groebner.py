@@ -49,17 +49,16 @@ def test_kernel_key_reverses_the_order_and_is_additive():
         fp.weight_order((1, 1)).sort_key(3)
 
 
-@pytest.mark.parametrize("width", [16, 64])
-def test_packed_lcm_and_divisibility_match_the_tuple_helpers(width):
+def test_packed_lcm_and_divisibility_match_the_tuple_helpers():
     # the pair criteria's lcm, divisibility and coprimality on exponent words
     # against _lcm and _divides, with exponents at 0 and at the largest value
     # a field holds with its guard bit clear
-    rng = random.Random(width)
-    top = 2 ** (width - 1) - 1
+    rng = random.Random(64)
+    top = 2**63 - 1
     seen = set()
     for _ in range(400):
         n = rng.randint(1, 5)
-        packing = gb._packing(random_order(rng, n), n, width)
+        packing = gb._packing(random_order(rng, n), n)
         a = tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n))
         b = rng.choice([
             tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n)),
@@ -95,10 +94,10 @@ def test_spair_in_the_heap_matches_oracle_s_polynomial():
         for order in orders:
             f = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
             g = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
-            packing = gb._packing(order, n, gb._WIDTH)
+            packing = gb._packing(order, n)
             ra, rb = (gb._reducer(gb._to_terms(h, packing), p) for h in (f, g))
             lcm = packing.pack(tuple(map(max, packing.unpack(ra[0]), packing.unpack(rb[0]))))
-            r = gb._reduce(*gb._spair(ra, rb, lcm, p), [], p, packing.guards)
+            r = gb._reduce(*gb._spair(ra, rb, lcm, p), [], p, packing)
             assert r == sorted(r)
             s = oracle.s_polynomial(f, g, order)
             assert gb._from_terms(R, r, packing) == s
@@ -289,25 +288,12 @@ def _selection_cases():
 
 def test_gb_determinism_under_randomized_selection():
     # the reduced basis is unique, so scrambling pair selection changes nothing
-    _check_scrambled_selection()
-
-
-def test_gb_determinism_under_randomized_selection_at_16_bits(monkeypatch):
-    # the criteria read packed words, so scrambled runs at 16-bit fields end
-    # in the bases of unscrambled runs at the default width
-    _check_scrambled_selection(monkeypatch)
-
-
-def _check_scrambled_selection(monkeypatch=None):
-    """Scrambled runs against references at the default width; narrowed first when given a monkeypatch."""
     rng = random.Random(99)
     cases = [
         (R, gens, o, gb.reduced_gb(gb.ideal(R, gens), o))
         for R, gens in _selection_cases()
         for o in [fp.grevlex(), fp.lex()]
     ]
-    if monkeypatch is not None:
-        _narrow_fields(monkeypatch)
     for R, gens, o, reference in cases:
         for _ in range(6):
             noise = {}
@@ -381,20 +367,16 @@ def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fixture, pairs, elimination_pairs, narrow",
+    "fixture, pairs, elimination_pairs",
     [
-        pytest.param(fixture, pairs, elimination_pairs, narrow, id=fixture + ("-16bit" if narrow else ""))
+        pytest.param(fixture, pairs, elimination_pairs, id=fixture)
         for fixture, pairs, elimination_pairs in [("minors_2x3.prob", 84, 82), ("pentagon_edge.prob", 1684, 1664)]
-        for narrow in (False, True)
     ],
 )
-def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs, narrow, monkeypatch):
+def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs):
     # deterministic regression signal for the pair criteria: S-pairs that
     # survive the criteria and are reduced, summed over every kernel run of
-    # what the fsplit command computes; the criteria read packed words, so
-    # the count must not depend on the field width
-    if narrow:
-        _narrow_fields(monkeypatch)
+    # what the fsplit command computes
     pf = cli.parse_problem((FIXTURES / fixture).read_text())
     I = pf.ideal(None)[1]
     with gb.Budget() as budget:
@@ -485,6 +467,10 @@ def test_reduced_gb_checks_the_cap_on_its_result():
     with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
         gb.reduced_gb(I, fp.lex())
     assert I._cached_gb(fp.lex()) is None
+    # the generators are a basis already (coprime leading monomials z and x),
+    # and presentation_from_gb's tail reduction passes the cap the same way
+    with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
+        gb.presentation_from_gb(R, gens, fp.lex())
     ext = fp.ring_new(3, ["x", "y"]).extend()
     gens = [ext.parse("t - x^3"), ext.parse("x - y^1000000000")]
     with pytest.raises(fp.ExponentOverflowError, match="^exponent 3000000000 exceeds"):
@@ -526,76 +512,15 @@ def test_eliminate_is_the_t_free_part_of_the_elimination_basis():
     assert dropped > 20
 
 
-def _narrow_fields(monkeypatch):
-    """Start every run at 16-bit exponent fields; returns the widths packed at, in order."""
-    monkeypatch.setattr(gb, "_WIDTH", 16)
-    widths = []
-    packing = gb._packing
-    monkeypatch.setattr(gb, "_packing", lambda order, n, width: widths.append(width) or packing(order, n, width))
-    return widths
-
-
-def test_a_run_widens_its_fields_and_charges_its_pairs_once(monkeypatch):
-    # under lex, (x - y^a, x^2 - y) has the reduced basis (y^(2a) - y, x - y^a)
-    # after one pair.  With a just below the initial field limit 2^15, y^(2a)
-    # passes it in the run, which restarts at twice the width
+def test_a_term_past_the_fields_raises_the_cap_error():
+    # under lex, x*y^(2^62) less y^(2^62)*(x - y^(2^62)) is y^(2^63): the
+    # reduction forms it with the guard bit of its 64-bit field set.  Built
+    # with the trusted constructor, as no parsed input reaches 2^62
     R = fp.ring_new(3, ["x", "y"])
-    widths = _narrow_fields(monkeypatch)
-    for a, used in [(2, [16]), (2**15 - 1, [16, 32])]:
-        del widths[:]
-        with gb.Budget() as budget:
-            G = gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{a}"), R.parse("x^2 - y")]), fp.lex())
-        assert G.elements == (R.parse(f"y^{2 * a} - y"), R.parse(f"x - y^{a}"))
-        assert widths == used and budget.pairs == 1
-
-
-def test_a_run_widens_twice_before_the_cap_stops_it(monkeypatch):
-    # x - y^(2^30) needs 32-bit fields; the run's y^(2^31) needs 64 and, as a
-    # new leading monomial past MAX_EXPONENT, stops the run after the same
-    # single pair
-    R = fp.ring_new(3, ["x", "y"])
-    widths = _narrow_fields(monkeypatch)
-    with gb.Budget() as budget, pytest.raises(fp.ExponentOverflowError, match=f"^exponent {2**31} exceeds"):
-        gb.reduced_gb(gb.ideal(R, [R.parse(f"x - y^{2**30}"), R.parse("x^2 - y")]), fp.lex())
-    assert widths == [16, 32, 64] and budget.pairs == 1
-
-
-def test_every_kernel_entry_widens_its_fields(monkeypatch):
-    # member, normal_form, presentation_from_gb and _quotient each restart at
-    # 32-bit fields when an input exponent reaches 2^15, with the result of a
-    # run at the default width.  Each case builds its ideal afresh, so no
-    # basis or kernel form carries over from the default-width run
-    R = fp.ring_new(3, ["x", "y"])
-    o = fp.lex()
-    a = 2**15
-    h = R.parse("x^2 - y")
-    inside, outside = h * R.parse(f"y^{a} + x"), R.parse(f"x*y^{a} + y")
-    basis = [R.parse(f"x - y^{a}"), R.parse(f"y^{a + 1} - y")]
-    ext = R.extend()
-    t = ext.variable(2)
-    eliminated = [t * ops.embed(h, ext), (ext.one() - t) * ops.embed(basis[0], ext)]
-    # each case, with the widths it packs at: the run of reduced_gb on (h, x*h)
-    # packs at 16 and keeps that form, which member rebuilds at 32; the
-    # principal (h) needs no run, so member packs it first
-    cases = {
-        "member": (lambda: [gb.member(f, gb.ideal(R, [h, R.parse("x") * h]), o) for f in (inside, outside)], [16, 16, 32] * 2),
-        "member, principal": (lambda: [gb.member(f, gb.ideal(R, [h]), o) for f in (inside, outside)], [16, 32] * 2),
-        "normal_form": (lambda: gb.normal_form(outside, [h], o), [16, 32]),
-        "presentation_from_gb": (lambda: gb.presentation_from_gb(R, basis, o).generators, [16, 32]),
-        "_quotient": (lambda: gb._quotient(inside, h, o), [16, 32]),
-        "_eliminate": (lambda: gb._eliminate(eliminated, [None, None], o), [16, 32]),
-    }
-    expected = {name: case() for name, (case, _) in cases.items()}
-    assert expected["member"] == [True, False]
-    widths = _narrow_fields(monkeypatch)
-    for name, (case, used) in cases.items():
-        del widths[:]
-        assert case() == expected[name], name
-        assert widths == used, name
-    # the kernel form is rebuilt wider, never narrower
-    I = gb.ideal(R, [h, R.parse("x") * h])
-    assert gb.member(inside, I, o) and not gb.member(R.parse("x"), I, o)
-    assert gb.reduced_gb(I, o)._kernel[0].width == 32
+    f = fp.Polynomial(R, {(1, 2**62): 1})
+    g = fp.Polynomial(R, {(1, 0): 1, (0, 2**62): 2})
+    with pytest.raises(fp.ExponentOverflowError, match=f"^exponent {2**63} exceeds MAX_EXPONENT$"):
+        gb.normal_form(f, [g], fp.lex())
 
 
 def test_budget_exceeded_is_distinct_error(ring5):

@@ -321,13 +321,13 @@ def test_principal_colon_matches_elimination(monkeypatch):
     # (h) : f skips the intersection when f divides h; presenting the same
     # ideal as (h, x*h) forces the elimination route
     meets = []
-    intersect = ops.intersect
+    meet = ops._eliminated_meet
 
     def counting(*args, **kwargs):
         meets.append(1)
-        return intersect(*args, **kwargs)
+        return meet(*args, **kwargs)
 
-    monkeypatch.setattr(ops, "intersect", counting)
+    monkeypatch.setattr(ops, "_eliminated_meet", counting)
     rng = random.Random(17)
     kinds = {"divides": 0, "unit": 0, "inexact": 0}
     for _ in range(60):
