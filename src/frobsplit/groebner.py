@@ -16,10 +16,13 @@ one heap pop plus one shifted merge of the reducer tail.  An S-pair is the
 first step of its own reduction: the shifted tail of one element seeds the
 heap and the other element is subtracted from it like any reducer.
 
-Exponent fields are 64 bits wide, one packing per order and ring size.
-Every exponent within ``MAX_EXPONENT`` fits below its guard bit, and every
-term a run forms fits its field, so a term that leaves the heap with a set
-guard bit has an exponent of at least ``2^63`` and raises
+Each kernel run chooses its exponent-field width from its inputs: 16 bits
+when every input's total degree is below ``2^15``, else 64, which holds
+every exponent within ``MAX_EXPONENT``.  Every term a run forms fits its
+field, at worst with the guard bit set, and each term is tested when it
+leaves the heap.  A set guard bit at 16 bits restarts the run once, from its
+inputs, at 64 bits, and the pairs it popped are not charged twice; at 64
+bits it is an exponent of at least ``2^63`` and raises
 ExponentOverflowError (see docs/notes.md, "Field width").  A basis made by
 a run keeps that run's kernel form.
 
@@ -28,14 +31,16 @@ and Moeller, on the exponent words of leading monomials: the lcm of two is
 one borrow-mask select and they are coprime iff it is their sum.  Each new
 element drops the queued pairs it makes redundant (criterion B), keeps one
 new pair per minimal lcm and none whose leading monomials are coprime
-(criteria M and F), and retires every element whose leading monomial it
-divides.  Every pair that survives to be popped is reduced; pairs are
-popped by the sugar strategy of Giovini, Mora, Niesi, Robbiano and
-Traverso (minimal sugar, then lcm degree, then lcm key): an input's sugar
-is its total degree, a pair's is the larger of its two halves' sugar
-shifted to the lcm, and a new element keeps the sugar of its pair, so an
-inhomogeneous input (such as an elimination's ``t*f`` and ``(1-t)*g``) is
-worked through as if it were homogenized.  An elimination may also mark
+(criteria M and F; scanned by ascending lcm word, which refines
+divisibility, each is tested only against the minimal lcms kept so far),
+and retires every element whose leading monomial it divides.  Every pair
+that survives to be popped is reduced; pairs are popped by the sugar
+strategy of Giovini, Mora, Niesi, Robbiano and Traverso (minimal sugar,
+then lcm degree, then lcm key): an input's sugar is its total degree, a
+pair's is the larger of its two halves' sugar shifted to the lcm, and a new
+element keeps the sugar of its pair, so an inhomogeneous input (such as an
+elimination's ``t*f`` and ``(1-t)*g``) is worked through as if it were
+homogenized.  An elimination may also mark
 inputs that already form a Groebner basis (times one common factor); the
 pairs inside such a block have a standard representation and are never
 queued (see docs/notes.md, "Known bases in an elimination"), and it
@@ -125,31 +130,36 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar("frobsplit_budget", defau
 # A kernel polynomial is a list of (x, coeff) sorted ascending by x, where x is
 # the packed monomial of a _Packing: the leading term comes first.
 
-# bits per exponent field: every exponent within MAX_EXPONENT sits below the
-# guard bit.  Narrower fields run faster (16 bits: about 13% less certify CPU),
-# but need a width choice and a restart when a term passes them; see ROADMAP
-# items 1 and 3
-_WIDTH = 64
+# bits per exponent field a run starts from when every input's total degree is
+# below 2^(_WIDTH - 1); otherwise, and on the one restart, fields are 64 bits
+# wide, which hold every exponent within MAX_EXPONENT below the guard bit.
+# Narrow fields make every heap compare, dict hash and shift cheaper: certify
+# takes about 14% less CPU than at 64 bits; see docs/notes.md, "Field width"
+_WIDTH = 16
+
+
+class _Widen(Exception):
+    """A term of a run set a guard bit of narrow fields; the run restarts at 64 bits."""
 
 
 class _Packing:
-    """The monomials of one order on n variables as integers, ``_WIDTH`` bits per exponent.
+    """The monomials of one order on n variables as integers, ``width`` bits per exponent.
 
     ``pack(e)`` is ``zero + sum(e_i * units[i])``.  At the top it holds the
     order's ``sort_key`` vector, most significant component first, one biased
-    field per component; below, one ``_WIDTH``-bit field per exponent, whose
-    top bit (in ``guards``) is clear while the exponent is below ``2^63``.
-    So integers sort like the order's ``sort_key``, a product is a sum less
-    ``zero``, and a shift is one addition (see docs/notes.md, "Packed
-    monomials").
+    field per component; below, one ``width``-bit field per exponent, whose
+    top bit (in ``guards``) is clear while the exponent is below
+    ``2^(width - 1)``.  So integers sort like the order's ``sort_key``, a
+    product is a sum less ``zero``, and a shift is one addition (see
+    docs/notes.md, "Packed monomials").
     """
 
-    __slots__ = ("zero", "units", "guards", "low", "unpack", "pack", "lcm", "divides")
+    __slots__ = ("width", "zero", "units", "guards", "low", "unpack", "pack", "lcm", "divides")
 
-    def __init__(self, order, n):
+    def __init__(self, order, n, width):
         sort_key = order.sort_key(n)
         unit_keys = [sort_key(tuple(int(i == j) for j in range(n))) for i in range(n)]
-        width = _WIDTH
+        self.width = width
         offsets = range(0, n * width, width)
         self.guards = sum(1 << (s + width - 1) for s in offsets)
         self.units = [1 << s for s in offsets]
@@ -162,9 +172,9 @@ class _Packing:
             self.units = [u + (k << shift) for u, k in zip(self.units, column)]
             shift += width + 1 + bound.bit_length()
         # ``unpack(x)`` reads the exponent fields back with one struct of
-        # unsigned 64-bit integers off the low bytes of x
+        # unsigned 16- or 64-bit integers off the low bytes of x
         nbytes = (shift + 7) // 8
-        fields = Struct(f"<{n}Q{nbytes - n * 8}x")
+        fields = Struct(f"<{n}{'H' if width == 16 else 'Q'}{nbytes - n * width // 8}x")
         self.unpack = lambda x: fields.unpack(x.to_bytes(nbytes, "little"))
         # ``pack(e)`` written out for the n variables, as a lambda of integer
         # literals: about twice as fast as summing a map of products
@@ -179,13 +189,41 @@ class _Packing:
         self.divides = lambda a, b: ((b | guards) - a) & guards == guards
 
 
-@lru_cache(maxsize=32)
-def _packing(order, n) -> _Packing:
-    return _Packing(order, n)
+@lru_cache(maxsize=64)
+def _packing(order, n, width) -> _Packing:
+    return _Packing(order, n, width)
+
+
+def _fitted(degree, run):
+    """``run(width)``: at ``_WIDTH`` bits when ``degree`` is below that field's guard bit, else at 64.
+
+    ``degree`` bounds every exponent of the run's inputs.  A run that sets a
+    guard bit of the narrow fields raises :class:`_Widen` and runs once more,
+    from its inputs, at 64 bits.
+    """
+    if degree >> (_WIDTH - 1) == 0:
+        try:
+            return run(_WIDTH)
+        except _Widen:
+            pass
+    return run(64)
+
+
+def _past_fields(x, packing):
+    """A term with a set guard bit left the heap: restart at 64 bits, or raise the cap error there."""
+    if packing.width < 64:
+        raise _Widen
+    # a set guard bit of a 64-bit field is an exponent of at least 2^63
+    _check_growth([packing.unpack(x)])
+
+
+def _max_degree(polys) -> int:
+    """The largest total degree among the nonzero polynomials, which bounds every exponent; 0 when none."""
+    return max((max(map(sum, g._coeffs)) for g in polys if g), default=0)
 
 
 def _to_terms(f: Polynomial, packing):
-    """f in kernel form; its exponents, within the cap or formed by a run, sit below the guard bits."""
+    """f in kernel form; the caller's packing has every exponent of f below its guard bits."""
     coeffs = f._coeffs
     return sorted(zip(map(packing.pack, coeffs), coeffs.values()))
 
@@ -279,7 +317,8 @@ def _reduce(coeffs, heap, reducers, p, packing):
     makes an S-pair the first step of its reduction.  Scans reducers in list
     order for the first whose leading monomial divides the current maximal
     term; terms with no divisor move to the remainder.  A term that sets a
-    guard bit raises ExponentOverflowError.
+    guard bit raises :class:`_Widen` at narrow fields and
+    ExponentOverflowError at 64 bits.
     """
     guards = packing.guards
     remainder = []
@@ -289,8 +328,7 @@ def _reduce(coeffs, heap, reducers, p, packing):
         if not c:
             continue
         if x & guards:
-            # a set guard bit is an exponent of at least 2^63
-            _check_growth([packing.unpack(x)])
+            _past_fields(x, packing)
         # lm | x iff no field of (x | guards) - lm borrows from its guard bit
         xg = x | guards
         for lm, tail in reducers:
@@ -320,8 +358,7 @@ def _divide(coeffs, heap, red, p, packing):
         if not c:
             continue
         if x & guards:
-            # a set guard bit is an exponent of at least 2^63
-            _check_growth([packing.unpack(x)])
+            _past_fields(x, packing)
         if ((x | guards) - lm) & guards != guards:
             return None
         _subtract(coeffs, heap, tail, x - lm, p - c, p)
@@ -348,6 +385,37 @@ def _subtract(coeffs, heap, tail, shift, m, p):
                 coeffs[nx] = v
             else:
                 del coeffs[nx]
+
+
+def _minimal_lcm_pairs(new, guards) -> list:
+    """The new pairs that criteria M and F queue, as ``(lcm word, g)``.
+
+    ``new`` lists each new pair ``(g, h)`` as ``(w, g, known)`` in active
+    order: ``w`` its lcm word, ``known`` whether it has a known standard
+    representation.  A pair is queued iff no new pair's lcm properly divides
+    its own, no pair with its lcm is known, and it is the last with that lcm.
+    A proper divisor has a smaller word (docs/notes.md, "Pair criteria on
+    exponent words"), so scanning by ascending word, an lcm needs testing
+    only against the minimal ones kept so far.
+    """
+    queued = []
+    minimal = []
+    known = False
+    new = sorted(new)
+    for k, (w, g, known_g) in enumerate(new, 1):
+        known = known or known_g
+        if k < len(new) and new[k][0] == w:
+            continue  # a later pair has this lcm
+        wg = w | guards
+        for m in minimal:
+            if (wg - m) & guards == guards:
+                break
+        else:
+            minimal.append(w)
+            if not known:
+                queued.append((w, g))
+        known = False
+    return queued
 
 
 def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None):
@@ -393,38 +461,24 @@ def _buchberger(inputs, sugars, packing, p, budget, pair_noise=None, blocks=None
         if len(kept) < len(heap):
             heap = kept
             heapify(heap)
-        # criteria M and F on the new pairs (g, h), as in Gebauer and
-        # Moeller: a pair goes when another surviving new pair's lcm divides
-        # its own; a pair with a known standard representation (coprime
-        # leading monomials, lcm = product, or both ends in one block) is
-        # never dropped here, so it still removes the pairs it covers, and is
-        # itself dropped afterwards
+        # criteria M and F on the new pairs (g, h); a pair with a known
+        # standard representation has coprime leading monomials (lcm =
+        # product) or both ends in one block
         new = []
         for g in active:
             w = lcm(words[g], wh)
             new.append((w, g, w == words[g] + wh or (label is not None and labels[g] == label)))
-        alive = [True] * len(new)
-        lcms = [w for w, _, _ in new]
-        for a, (w, _, known) in enumerate(new):
-            if known:
-                continue
-            w |= guards
-            for b, w_b in enumerate(lcms):
-                if (w - w_b) & guards == guards and b != a and alive[b]:
-                    alive[a] = False
-                    break
-        for (w, g, known), ok in zip(new, alive):
-            if ok and not known:
-                e = unpack(w)
-                degree = sum(e)
-                x = pack(e)
-                # the sugar of S(g, h): the larger sugar of its two halves;
-                # a larger packed lcm is a smaller one in the order
-                sugar = max(spare[g], spare_h) + degree
-                sel = (sugar, degree, -x, g, h)
-                if pair_noise is not None:
-                    sel = (pair_noise((g, h)),) + sel
-                heappush(heap, (sel, g, h, w, x, sugar))
+        for w, g in _minimal_lcm_pairs(new, guards):
+            e = unpack(w)
+            degree = sum(e)
+            x = pack(e)
+            # the sugar of S(g, h): the larger sugar of its two halves;
+            # a larger packed lcm is a smaller one in the order
+            sugar = max(spare[g], spare_h) + degree
+            sel = (sugar, degree, -x, g, h)
+            if pair_noise is not None:
+                sel = (pair_noise((g, h)),) + sel
+            heappush(heap, (sel, g, h, w, x, sugar))
         # an element whose leading monomial lm(h) divides is no longer needed
         # as a reducer or as a partner of later pairs
         active = [g for g in active if ((words[g] | guards) - wh) & guards != guards]
@@ -487,14 +541,23 @@ def _completion(gens, order, p, pair_noise=None, blocks=None, eliminate=False):
     divisible only by ``t``-free ones, so they need no other reducer (see
     docs/notes.md, "Colon and intersection bases").
     """
-    packing = _packing(order, gens[0].ring.n)
+    n = gens[0].ring.n
+    sugars = [g.degree() for g in gens]
     budget = _ACTIVE_BUDGET.get() or Budget()
-    inputs = [_to_terms(g, packing) for g in gens]
-    basis = _buchberger(inputs, [g.degree() for g in gens], packing, p, budget, pair_noise, blocks)
-    if eliminate:
-        t = packing.low ^ (packing.low >> _WIDTH)
-        basis = [r for r in basis if not r[0] & t]
-    return packing, _autoreduce(basis, p, packing)
+    start = budget.pairs
+
+    def run(width):
+        # a run restarted at 64 bits charges its pairs once
+        budget.pairs = start
+        packing = _packing(order, n, width)
+        inputs = [_to_terms(g, packing) for g in gens]
+        basis = _buchberger(inputs, sugars, packing, p, budget, pair_noise, blocks)
+        if eliminate:
+            t = packing.low ^ (packing.low >> width)
+            basis = [r for r in basis if not r[0] & t]
+        return packing, _autoreduce(basis, p, packing)
+
+    return _fitted(max(sugars), run)
 
 
 def _pairless_basis(ring: RingContext, elements, order) -> tuple | None:
@@ -523,8 +586,9 @@ class ReducedGB:
     monomial ascending.  Their kernel form, the packing and the elements as
     division reducers for this order, is kept from the run that made the
     basis, or mapped from that of the basis it is a bracket power of, or
-    else built on first use, once per basis; it serves :func:`member` and
-    :meth:`leading_monomials`.
+    else built on first use; it serves :func:`member` and
+    :meth:`leading_monomials`.  A narrow form is rebuilt at 64 bits, once,
+    when a division by it needs them.
     """
 
     ring: RingContext
@@ -532,25 +596,35 @@ class ReducedGB:
     elements: tuple[Polynomial, ...]
     _kernel: tuple = field(default=None, compare=False, repr=False)
 
-    def _reducers(self) -> tuple:
-        """The packing and the kernel form, built unless kept."""
-        if self._kernel is None:
-            packing = _packing(self.order, self.ring.n)
+    def _reducers(self, width) -> tuple:
+        """The packing and the kernel form, at least ``width`` bits wide: kept, or built and kept."""
+        kernel = self._kernel
+        if kernel is None or kernel[0].width < width:
+            if _max_degree(self.elements) >> (width - 1):
+                width = 64
+            packing = _packing(self.order, self.ring.n, width)
             kernel = packing, [_reducer(_to_terms(g, packing), self.ring.p) for g in self.elements]
             object.__setattr__(self, "_kernel", kernel)
-        return self._kernel
+        return kernel
 
     def _bracket_kernel(self, q) -> tuple | None:
-        """The kernel form of ``G^[q]`` when every exponent of it is within the cap, mapped from a kept one."""
+        """The kernel form of ``G^[q]``, mapped from a kept one whose fields hold it.
+
+        The caller has checked every exponent of ``G^[q]`` against the cap,
+        which 64-bit fields hold; narrow ones hold it while ``q*deg(G)``
+        stays below their guard bit.
+        """
         if self._kernel is None:
             return None  # G^[q] packs on first use
         packing, reducers = self._kernel
+        if packing.width < 64 and (q * _max_degree(self.elements)) >> (packing.width - 1):
+            return None
         # packing is linear: X(q*e) = X(0) + q*(X(e) - X(0))
         base = (1 - q) * packing.zero
         return packing, [(base + q * x, [(base + q * y, c) for y, c in tail]) for x, tail in reducers]
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        packing, reducers = self._reducers()
+        packing, reducers = self._reducers(_WIDTH)
         return tuple(Monomial(self.ring, packing.unpack(x)) for x, _ in reducers)
 
     def presentation(self) -> "IdealPresentation":
@@ -665,9 +739,13 @@ def normal_form(f: Polynomial, basis, order) -> Polynomial:
     if not f:
         return f
     p = f.ring.p
-    packing = _packing(order, f.ring.n)
-    reducers = [_reducer(_to_terms(g, packing), p) for g in basis]
-    r = _from_terms(f.ring, _reduce(*_heap(_to_terms(f, packing)), reducers, p, packing), packing)
+
+    def run(width):
+        packing = _packing(order, f.ring.n, width)
+        reducers = [_reducer(_to_terms(g, packing), p) for g in basis]
+        return _from_terms(f.ring, _reduce(*_heap(_to_terms(f, packing)), reducers, p, packing), packing)
+
+    r = _fitted(_max_degree([f, *basis]), run)
     _check_cap([r])
     return r
 
@@ -719,9 +797,13 @@ def presentation_from_gb(ring: RingContext, elements, order) -> IdealPresentatio
     elements = [g for g in elements if g]
     basis = _pairless_basis(ring, elements, order)
     if basis is None:
-        packing = _packing(order, ring.n)
-        reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
-        basis = _from_reducers(ring, _autoreduce(reducers, ring.p, packing), packing)
+
+        def run(width):
+            packing = _packing(order, ring.n, width)
+            reducers = [_reducer(_to_terms(g, packing), ring.p) for g in elements]
+            return _from_reducers(ring, _autoreduce(reducers, ring.p, packing), packing)
+
+        basis = _fitted(_max_degree(elements), run)
     _check_cap(basis)
     return ReducedGB(ring, order, basis).presentation()
 
@@ -730,14 +812,18 @@ def _quotient(g: Polynomial, f: Polynomial, order) -> Polynomial | None:
     """g / f when the nonzero f divides g, else None."""
     _same_ring(f.ring, g.ring)
     p = g.ring.p
-    packing = _packing(order, g.ring.n)
-    f_terms = _to_terms(f, packing)
-    q = _divide(*_heap(_to_terms(g, packing)), _reducer(f_terms, p), p, packing)
-    if q is None:
-        return None
-    # the kernel divided by the monic f / lc(f)
-    inv = pow(f_terms[0][1], -1, p)
-    return _from_terms(g.ring, [(s + packing.zero, (c * inv) % p) for s, c in q], packing)
+
+    def run(width):
+        packing = _packing(order, g.ring.n, width)
+        f_terms = _to_terms(f, packing)
+        q = _divide(*_heap(_to_terms(g, packing)), _reducer(f_terms, p), p, packing)
+        if q is None:
+            return None
+        # the kernel divided by the monic f / lc(f)
+        inv = pow(f_terms[0][1], -1, p)
+        return _from_terms(g.ring, [(s + packing.zero, (c * inv) % p) for s, c in q], packing)
+
+    return _fitted(_max_degree([f, g]), run)
 
 
 def initial_ideal(I: IdealPresentation, order) -> MonomialIdeal:
@@ -750,7 +836,8 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     """Whether f lies in I.
 
     By divisibility, term by term, when every generator of I is a single
-    term; otherwise by division by the kernel form of the reduced basis.
+    term; otherwise by division by the kernel form of the reduced basis,
+    rebuilt at 64 bits when ``f`` or the division needs them.
     """
     _same_ring(f.ring, I.ring)
     if not f:
@@ -758,8 +845,13 @@ def member(f: Polynomial, I: IdealPresentation, order) -> bool:
     monomials = _term_exponents(I.generators)
     if monomials is not None:
         return _in_monomial_ideal(f.terms_dict(), monomials)
-    packing, reducers = reduced_gb(I, order)._reducers()
-    return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing)
+    G = reduced_gb(I, order)
+
+    def run(width):
+        packing, reducers = G._reducers(width)
+        return not _reduce(*_heap(_to_terms(f, packing)), reducers, f.ring.p, packing)
+
+    return _fitted(max(map(sum, f._coeffs)), run)
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation, order) -> bool:

@@ -49,16 +49,17 @@ def test_kernel_key_reverses_the_order_and_is_additive():
         fp.weight_order((1, 1)).sort_key(3)
 
 
-def test_packed_lcm_and_divisibility_match_the_tuple_helpers():
+@pytest.mark.parametrize("width", [16, 64])
+def test_packed_lcm_and_divisibility_match_the_tuple_helpers(width):
     # the pair criteria's lcm, divisibility and coprimality on exponent words
     # against _lcm and _divides, with exponents at 0 and at the largest value
     # a field holds with its guard bit clear
-    rng = random.Random(64)
-    top = 2**63 - 1
+    rng = random.Random(width)
+    top = 2 ** (width - 1) - 1
     seen = set()
     for _ in range(400):
         n = rng.randint(1, 5)
-        packing = gb._packing(random_order(rng, n), n)
+        packing = gb._packing(random_order(rng, n), n, width)
         a = tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n))
         b = rng.choice([
             tuple(rng.choice([0, top, rng.randint(0, 3), rng.randint(0, top)]) for _ in range(n)),
@@ -94,7 +95,7 @@ def test_spair_in_the_heap_matches_oracle_s_polynomial():
         for order in orders:
             f = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
             g = random_polynomial(rng, R, 4, max_terms=5, nonzero=True)
-            packing = gb._packing(order, n)
+            packing = gb._packing(order, n, gb._WIDTH)
             ra, rb = (gb._reducer(gb._to_terms(h, packing), p) for h in (f, g))
             lcm = packing.pack(tuple(map(max, packing.unpack(ra[0]), packing.unpack(rb[0]))))
             r = gb._reduce(*gb._spair(ra, rb, lcm, p), [], p, packing)
@@ -366,17 +367,30 @@ def test_monomial_ideal_basis_matches_buchberger_randomized(monkeypatch):
     assert checked > 100
 
 
+def _record_widths(monkeypatch, start=None):
+    """Record the field width of every packing the kernel asks for; start runs at ``start`` bits when given."""
+    if start is not None:
+        monkeypatch.setattr(gb, "_WIDTH", start)
+    widths = []
+    packing = gb._packing
+    monkeypatch.setattr(gb, "_packing", lambda order, n, width: widths.append(width) or packing(order, n, width))
+    return widths
+
+
 @pytest.mark.parametrize(
-    "fixture, pairs, elimination_pairs",
+    "fixture, pairs, elimination_pairs, start",
     [
-        pytest.param(fixture, pairs, elimination_pairs, id=fixture)
+        pytest.param(fixture, pairs, elimination_pairs, start, id=fixture + ("" if start == 16 else f"-{start}bit"))
         for fixture, pairs, elimination_pairs in [("minors_2x3.prob", 84, 82), ("pentagon_edge.prob", 1684, 1664)]
+        for start in (16, 64)
     ],
 )
-def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs):
+def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs, start, monkeypatch):
     # deterministic regression signal for the pair criteria: S-pairs that
     # survive the criteria and are reduced, summed over every kernel run of
-    # what the fsplit command computes
+    # what the fsplit command computes.  The criteria read exponent words,
+    # so the count is the same whichever width the runs start at
+    widths = _record_widths(monkeypatch, start)
     pf = cli.parse_problem((FIXTURES / fixture).read_text())
     I = pf.ideal(None)[1]
     with gb.Budget() as budget:
@@ -388,6 +402,43 @@ def test_fsplit_pairs_reduced_pinned(fixture, pairs, elimination_pairs):
     with gb.Budget() as alone:
         gb.reduced_gb(gb.ideal(I.ring, I.generators), pf.order)
     assert pairs - alone.pairs == elimination_pairs
+    assert set(widths) == {start}
+
+
+def _quadratic_criterion_m(new, guards):
+    """Reference for criteria M and F, pair against pair: a pair goes when another new pair still alive has an lcm dividing its own."""
+    alive = [True] * len(new)
+    lcms = [w for w, _, _ in new]
+    for a, (w, _, known) in enumerate(new):
+        if known:
+            continue
+        w |= guards
+        for b, w_b in enumerate(lcms):
+            if (w - w_b) & guards == guards and b != a and alive[b]:
+                alive[a] = False
+                break
+    return sorted((w, g) for (w, g, known), ok in zip(new, alive) if ok and not known)
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_minimal_lcm_pairs_match_the_quadratic_criterion(width):
+    # new pairs (w, g, known) in active order, with small exponents so that
+    # lcms repeat and divide one another often, and some pairs known
+    rng = random.Random(2024 + width)
+    queued = dropped = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        packing = gb._packing(random_order(rng, n), n, width)
+        top = rng.choice([1, 2, 3])
+        new = []
+        for g in sorted(rng.sample(range(40), rng.randint(0, 12))):
+            e = tuple(rng.randint(0, top) for _ in range(n))
+            new.append((packing.pack(e) & packing.low, g, rng.random() < 0.15))
+        got = gb._minimal_lcm_pairs(new, packing.guards)
+        assert sorted(got) == _quadratic_criterion_m(new, packing.guards)
+        queued += len(got)
+        dropped += len(new) - len(got)
+    assert queued > 500 and dropped > 1000
 
 
 def test_gb_spolys_reduce_to_zero():
@@ -521,6 +572,85 @@ def test_a_term_past_the_fields_raises_the_cap_error():
     g = fp.Polynomial(R, {(1, 0): 1, (0, 2**62): 2})
     with pytest.raises(fp.ExponentOverflowError, match=f"^exponent {2**63} exceeds MAX_EXPONENT$"):
         gb.normal_form(f, [g], fp.lex())
+
+
+def test_a_run_restarts_once_at_64_bits_and_charges_its_pairs_once(monkeypatch):
+    # under lex, (x - y^200, x^200) has inputs of degree 200, below 2^15, so
+    # its run starts at 16-bit fields; its one pair forms y^40000, which sets
+    # a guard bit there, and the run restarts from its inputs at 64 bits
+    R = fp.ring_new(3, ["x", "y"])
+    o = fp.lex()
+    gens = [R.parse("x - y^200"), R.parse("x^200")]
+    expected = (R.parse("y^40000"), R.parse("x - y^200"))
+    for start, used in [(16, [16, 64]), (64, [64])]:
+        widths = _record_widths(monkeypatch, start)
+        with gb.Budget() as budget:
+            budget.pairs = 5
+            G = gb.reduced_gb(gb.ideal(R, gens), o)
+        assert G.elements == expected and G._kernel[0].width == 64
+        assert widths == used and budget.pairs == 6
+
+
+def test_every_kernel_entry_restarts_at_64_bits(monkeypatch):
+    # each entry starts at 16-bit fields on inputs of degree 200 and forms
+    # y^40000 from x^200 by x - y^200 under lex; the reference is division
+    # by Polynomial arithmetic.  A kept 16-bit basis is rebuilt at 64 bits
+    # once a division by it restarts, or at once for an f past the fields
+    R = fp.ring_new(3, ["z", "x", "y"])
+    o = fp.lex()
+    h = R.parse("x - y^200")
+    x200 = R.parse("x^200")
+    widths = _record_widths(monkeypatch)
+    assert gb.normal_form(x200, [h], o) == naive_normal_form(x200, [h], o) == R.parse("y^40000")
+    assert widths == [16, 64]
+    del widths[:]
+    assert gb._quotient(x200, h, o) is None and widths == [16, 64]
+    del widths[:]
+    # z - x^200 tail-reduces to z - y^40000
+    P = gb.presentation_from_gb(R, [R.parse("z - x^200"), h], o)
+    assert P.generators == (h, R.parse("z - y^40000")) and widths == [16, 64]
+    for f, inside in [(x200, False), (x200 - R.parse("y^40000"), True), (R.parse("z*y^40000 - z*x^200"), True)]:
+        # the pair of x - y^200 and x*y - y^201 reduces to zero at 16 bits
+        I = gb.ideal(R, [h, R.parse("x*y - y^201")])
+        G = gb.reduced_gb(I, o)
+        assert G.elements == (h,) and G._kernel[0].width == 16
+        del widths[:]
+        assert gb.member(f, I, o) is inside is (not naive_normal_form(f, [h], o))
+        assert widths == [64] and G._kernel[0].width == 64
+        # a division by the 64-bit form needs no further packing
+        assert gb.member(R.parse("x*y^9 - y^209"), I, o) and widths == [64]
+    # a basis with no kept form packs at 64 bits on first use when its own
+    # degree passes the narrow fields, whatever f asks for
+    J = gb.ideal(R, [R.parse("x - y^70000")])
+    for order, lm in [(fp.grevlex(), "y^70000"), (o, "x")]:
+        del widths[:]
+        G = gb.reduced_gb(J, order)
+        assert G.leading_monomials() == (R.parse(lm).leading_monomial(order),) and widths == [64]
+    assert not gb.member(R.parse("z*x"), J, o) and gb.member(R.parse("z*x - z*y^70000"), J, o)
+
+
+def test_bracket_kernel_maps_a_narrow_form_only_while_it_fits(monkeypatch):
+    # G = (x - y^200) is kept at 16 bits; G^[81] has degree 16,200 and keeps
+    # the mapped form, G^[243] has degree 48,600, past 2^15, and packs afresh
+    # at 64 bits on first use
+    R = fp.ring_new(3, ["x", "y"])
+    o = fp.lex()
+    I = gb.ideal(R, [R.parse("x - y^200"), R.parse("x*y - y^201")])
+    assert gb.reduced_gb(I, o)._kernel[0].width == 16
+    widths = _record_widths(monkeypatch)
+    for e, mapped in [(4, True), (5, False)]:
+        P = ops.bracket_power(I, e)
+        H = P._cached_gb(o)
+        assert (H._kernel is not None) is mapped
+        if mapped:
+            packing, reducers = H._kernel
+            assert packing.width == 16
+            assert reducers == [gb._reducer(gb._to_terms(g, packing), R.p) for g in H.elements]
+        del widths[:]
+        q = 3**e
+        for f in [R.parse(f"x^{q} - y^{200 * q}"), R.parse(f"x^{q}*y + y"), R.parse(f"x^{2 * q}*y - x^{q}*y^{200 * q + 1}")]:
+            assert gb.member(f, P, o) is (not naive_normal_form(f, H.elements, o))
+        assert widths == ([] if mapped else [64]) and H._kernel[0].width == (16 if mapped else 64)
 
 
 def test_budget_exceeded_is_distinct_error(ring5):
